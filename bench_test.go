@@ -633,8 +633,8 @@ func BenchmarkChurnSteadyState(b *testing.B) {
 // BenchmarkSimEngineFanout is the pool-scale stress: 10k processes spread
 // over 16 shards, all parked on shared per-shard Signals, with a driver that
 // fires every signal once per simulated microsecond. One benchmark op is one
-// fan-out round — 10k signal wake-ups scheduled at the same instant, merged
-// across shards in (time, seq) order, plus 10k re-waits.
+// fan-out round — 10k signal wake-ups scheduled at the same instant and
+// delivered in (time, seq) order, plus 10k re-waits.
 //
 // The benchmark tears its environment down eagerly: Close unwinds the 10k
 // parked workers off the timed path and the forced GC releases their

@@ -6,7 +6,7 @@ package corpus
 import randv2 "math/rand/v2"
 
 func globalStateV2() int {
-	x := randv2.IntN(10) // want
+	x := randv2.IntN(10)  // want
 	f := randv2.Float64() // want
 	return x + int(f)
 }

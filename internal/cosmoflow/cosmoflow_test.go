@@ -259,10 +259,12 @@ func TestPerfValidation(t *testing.T) {
 	if _, err := RunPerf(bad); err == nil {
 		t.Error("invalid input side accepted")
 	}
-	bad = fastPerf()
-	bad.Slack = -1
-	if _, err := RunPerf(bad); err == nil {
-		t.Error("negative slack accepted")
+	for _, slack := range []sim.Duration{-1, sim.Duration(math.NaN()), sim.Duration(math.Inf(1))} {
+		bad = fastPerf()
+		bad.Slack = slack
+		if _, err := RunPerf(bad); err == nil {
+			t.Errorf("slack %v accepted", slack)
+		}
 	}
 	bad = fastPerf()
 	bad.TrainSamples = 1

@@ -2,6 +2,7 @@ package cosmoflow
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cuda"
 	"repro/internal/faults"
@@ -115,8 +116,8 @@ func (c PerfConfig) validate() error {
 	if c.InputSide < 8 || c.InputSide&(c.InputSide-1) != 0 {
 		return fmt.Errorf("cosmoflow: input side %d must be a power of two ≥ 8", c.InputSide)
 	}
-	if c.Slack < 0 {
-		return fmt.Errorf("cosmoflow: negative slack %v", c.Slack)
+	if s := float64(c.Slack); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		return fmt.Errorf("cosmoflow: slack %v must be finite and non-negative", c.Slack)
 	}
 	return nil
 }

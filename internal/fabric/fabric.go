@@ -8,6 +8,7 @@ package fabric
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/sim"
 )
@@ -229,8 +230,8 @@ func SlackForPath(p Path) sim.Duration { return p.Latency() }
 // invalid input, so sweeps over computed slacks fail a point, not the
 // process.
 func PathForSlack(slack sim.Duration) (Path, error) {
-	if slack < 0 {
-		return Path{}, fmt.Errorf("fabric: negative slack %v", slack)
+	if s := float64(slack); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		return Path{}, fmt.Errorf("fabric: slack %v must be finite and non-negative", slack)
 	}
 	if slack == 0 {
 		return Path{}, nil

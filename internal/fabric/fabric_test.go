@@ -31,8 +31,10 @@ func TestPropagationRoundTripInverse(t *testing.T) {
 
 func TestValidatedConstructorPath(t *testing.T) {
 	// Constructors return recoverable errors on invalid input...
-	if _, err := PathForSlack(-1); err == nil {
-		t.Error("PathForSlack(-1) accepted")
+	for _, slack := range []sim.Duration{-1, sim.Duration(math.NaN()), sim.Duration(math.Inf(1))} {
+		if _, err := PathForSlack(slack); err == nil {
+			t.Errorf("PathForSlack(%v) accepted", slack)
+		}
 	}
 	if _, err := NewPath(Hop{Name: "bad", Latency: -sim.Microsecond}); err == nil {
 		t.Error("NewPath with negative latency accepted")
@@ -54,7 +56,6 @@ func TestValidatedConstructorPath(t *testing.T) {
 		t.Errorf("TransferTime(-1) = %v, want 0", got)
 	}
 }
-
 
 func TestPathLatencySumsHops(t *testing.T) {
 	p := Path{Hops: []Hop{

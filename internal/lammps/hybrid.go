@@ -2,6 +2,7 @@ package lammps
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cuda"
 	"repro/internal/gpu"
@@ -46,8 +47,8 @@ func RunHybrid(cfg HybridConfig) (HybridResult, error) {
 	if cfg.BoxSize <= 0 || cfg.Steps <= 0 {
 		return HybridResult{}, fmt.Errorf("lammps: invalid hybrid shape box=%d steps=%d", cfg.BoxSize, cfg.Steps)
 	}
-	if cfg.Slack < 0 {
-		return HybridResult{}, fmt.Errorf("lammps: negative slack %v", cfg.Slack)
+	if s := float64(cfg.Slack); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		return HybridResult{}, fmt.Errorf("lammps: slack %v must be finite and non-negative", cfg.Slack)
 	}
 	if cfg.Spec.Name == "" {
 		cfg.Spec = gpu.A100()

@@ -153,8 +153,10 @@ func TestPerfValidation(t *testing.T) {
 	if _, err := RunPerf(PerfConfig{BoxSize: 0}); err == nil {
 		t.Error("zero box accepted")
 	}
-	if _, err := RunPerf(PerfConfig{BoxSize: 20, Slack: -1}); err == nil {
-		t.Error("negative slack accepted")
+	for _, slack := range []sim.Duration{-1, sim.Duration(math.NaN()), sim.Duration(math.Inf(1))} {
+		if _, err := RunPerf(PerfConfig{BoxSize: 20, Slack: slack}); err == nil {
+			t.Errorf("slack %v accepted", slack)
+		}
 	}
 }
 
@@ -421,7 +423,9 @@ func TestHybridValidation(t *testing.T) {
 	if _, err := RunHybrid(HybridConfig{BoxSize: 3, Steps: 0}); err == nil {
 		t.Error("zero steps accepted")
 	}
-	if _, err := RunHybrid(HybridConfig{BoxSize: 3, Steps: 1, Slack: -1}); err == nil {
-		t.Error("negative slack accepted")
+	for _, slack := range []sim.Duration{-1, sim.Duration(math.NaN()), sim.Duration(math.Inf(1))} {
+		if _, err := RunHybrid(HybridConfig{BoxSize: 3, Steps: 1, Slack: slack}); err == nil {
+			t.Errorf("slack %v accepted", slack)
+		}
 	}
 }

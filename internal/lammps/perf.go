@@ -103,8 +103,8 @@ func (c PerfConfig) validate() error {
 		return fmt.Errorf("lammps: invalid run shape procs=%d threads=%d steps=%d rebuild=%d",
 			c.Procs, c.Threads, c.Steps, c.RebuildEvery)
 	}
-	if c.Slack < 0 {
-		return fmt.Errorf("lammps: negative slack %v", c.Slack)
+	if s := float64(c.Slack); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		return fmt.Errorf("lammps: slack %v must be finite and non-negative", c.Slack)
 	}
 	return nil
 }

@@ -331,8 +331,8 @@ type Prediction struct {
 // Predict evaluates Equations 2 and 3 for an application at one slack
 // value.
 func (s *Surface) Predict(app AppProfile, slack sim.Duration) (Prediction, error) {
-	if slack < 0 {
-		return Prediction{}, fmt.Errorf("model: negative slack %v", slack)
+	if s := float64(slack); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		return Prediction{}, fmt.Errorf("model: slack %v must be finite and non-negative", slack)
 	}
 	kb := s.BinKernelDurations(app.KernelDurations)
 	mb := s.BinTransferSizes(app.TransferBytes)

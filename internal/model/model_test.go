@@ -224,8 +224,10 @@ func TestPredictLowerNeverExceedsUpper(t *testing.T) {
 
 func TestPredictRejectsNegativeSlack(t *testing.T) {
 	s, _ := BuildSurface(syntheticSweep())
-	if _, err := s.Predict(AppProfile{}, -1); err == nil {
-		t.Error("negative slack accepted")
+	for _, slack := range []sim.Duration{-1, sim.Duration(math.NaN()), sim.Duration(math.Inf(1))} {
+		if _, err := s.Predict(AppProfile{}, slack); err == nil {
+			t.Errorf("slack %v accepted", slack)
+		}
 	}
 }
 

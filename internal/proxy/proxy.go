@@ -14,6 +14,7 @@ package proxy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 
 	"repro/internal/cuda"
@@ -90,8 +91,8 @@ func (c Config) validate() error {
 	if c.Threads < 1 {
 		return fmt.Errorf("proxy: thread count %d", c.Threads)
 	}
-	if c.Slack < 0 {
-		return fmt.Errorf("proxy: negative slack %v", c.Slack)
+	if s := float64(c.Slack); s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
+		return fmt.Errorf("proxy: slack %v must be finite and non-negative", c.Slack)
 	}
 	if c.ThreadOffset < 0 || c.IterSpacing < 0 {
 		return fmt.Errorf("proxy: negative offset/spacing")

@@ -29,8 +29,10 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := Run(Config{MatrixSize: 512, Threads: -1}); err == nil {
 		t.Error("negative threads accepted")
 	}
-	if _, err := Run(Config{MatrixSize: 512, Slack: -1}); err == nil {
-		t.Error("negative slack accepted")
+	for _, slack := range []sim.Duration{-1, sim.Duration(math.NaN()), sim.Duration(math.Inf(1))} {
+		if _, err := Run(Config{MatrixSize: 512, Slack: slack}); err == nil {
+			t.Errorf("slack %v accepted", slack)
+		}
 	}
 }
 

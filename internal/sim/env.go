@@ -12,7 +12,6 @@ type event struct {
 	at   Time
 	seq  uint64 // FIFO tie-break for simultaneous events
 	proc *Proc
-	link *event // intrusive timing-wheel bucket chain
 	// cancelled events stay queued but are skipped when they surface; this
 	// is how racing wake-ups (timeout vs signal) resolve without queue
 	// surgery.
@@ -30,9 +29,67 @@ const (
 	wakeStart
 )
 
-// Env is a simulation environment: a virtual clock plus the sharded event
-// queues and process bookkeeping that drive it. The zero value is not
-// usable; create environments with NewEnv.
+// evLess is the engine's total event order: time first, then the global
+// schedule sequence as FIFO tie-break.
+func evLess(a, b *event) bool {
+	//cdivet:allow floateq exact tie-break: events at bit-identical times fall through to the seq FIFO order; an epsilon would merge distinct instants
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a hand-rolled binary min-heap ordered by evLess. The
+// container/heap interface would force an `any` conversion and dynamic
+// dispatch on the hottest queue path; these two loops are the whole of
+// what the engine needs.
+type eventHeap []*event
+
+func (h *eventHeap) pushEv(ev *event) {
+	*h = append(*h, ev)
+	s := *h
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !evLess(s[i], s[parent]) {
+			break
+		}
+		s[i], s[parent] = s[parent], s[i]
+		i = parent
+	}
+}
+
+func (h *eventHeap) popMin() *event {
+	s := *h
+	n := len(s) - 1
+	min := s[0]
+	s[0] = s[n]
+	s[n] = nil
+	s = s[:n]
+	*h = s
+	// Sift the moved element down.
+	i := 0
+	for {
+		l, r := 2*i+1, 2*i+2
+		least := i
+		if l < n && evLess(s[l], s[least]) {
+			least = l
+		}
+		if r < n && evLess(s[r], s[least]) {
+			least = r
+		}
+		if least == i {
+			break
+		}
+		s[i], s[least] = s[least], s[i]
+		i = least
+	}
+	return min
+}
+
+// Env is a simulation environment: a virtual clock plus the event queue and
+// process bookkeeping that drive it. The zero value is not usable; create
+// environments with NewEnv.
 //
 // Env is not safe for concurrent use from multiple goroutines the caller
 // owns; the engine's determinism comes precisely from running exactly one
@@ -40,46 +97,31 @@ const (
 //
 // # Scheduling core
 //
-// Pending events live in per-shard queues (see Shard) drained through an
-// ordered merge on (time, seq). Control transfer uses a baton scheme: the
-// scheduler loop runs on whichever goroutine is yielding. When a process
-// parks, it pops the next event itself — if that event is its own wake-up
-// it simply continues (no handoff at all); if it belongs to another process
-// it resumes that process directly (one channel operation instead of the
+// Pending events live in one heap ordered by (time, seq), where seq is a
+// global schedule counter, so the order is total and never consults a
+// process's shard. Control transfer uses a baton scheme: the scheduler loop
+// runs on whichever goroutine is yielding. When a process parks, it pops
+// the next event itself — if that event is its own wake-up it simply
+// continues (no handoff at all); if it belongs to another process it
+// resumes that process directly (one channel operation instead of the
 // classic resume/park round-trip through a central scheduler goroutine).
 // The driver goroutine that called Run only regains control when the run
 // segment ends. Step and Close fall back to the central-handoff path, which
 // delivers exactly one wake-up per exchange.
 type Env struct {
-	now    Time
-	seq    uint64
-	shards []*Shard
-	shard0 Shard // default domain, embedded to keep NewEnv to one allocation
-
-	// The ordered merge over shard queues is a tournament tree. heads
-	// mirrors each shard's queue head as a flat (time, seq) array (+Inf =
-	// empty shard); merge is a winner tree over mergeCap leaves whose root,
-	// merge[1], always indexes the shard holding the globally earliest
-	// event. dirty lists the shards whose mirror entry is stale — a queue
-	// lands there at most once (guarded by its dirty flag) when a push or
-	// pop drops its cached head — and next() replays only their leaf-to-
-	// root paths: O(log shards) per event. The first version of this merge
-	// rescanned every shard head per event, which profiling measured at a
-	// quarter of the LAMMPS strong-scaling renderer's cycles once worlds
-	// grew to one shard per rank.
-	heads    []headKey
-	merge    []int32
-	mergeCap int
-	dirty    []int32
+	now     Time
+	seq     uint64
+	q       eventHeap // pending events, cancelled ones included
+	nshards int
+	shard0  Shard // default domain, embedded to keep NewEnv to one allocation
 
 	horizon Time // current run's clock bound (+Inf outside RunUntil)
 	// direct enables the baton fast path; Step and Close clear it so every
 	// wake-up is delivered from the driver goroutine.
-	direct  bool
-	park    chan struct{} // a yielding process hands the run back to the driver
-	nprocs  int           // live (started, not finished) processes
-	pending int           // queued events across all shards, cancelled included
-	closed  bool
+	direct bool
+	park   chan struct{} // a yielding process hands the run back to the driver
+	nprocs int           // live (started, not finished) processes
+	closed bool
 
 	// parked tracks every process currently blocked on a Signal (not a
 	// timer), so deadlocks can be reported and Close can unwind goroutines.
@@ -90,28 +132,14 @@ type Env struct {
 	// schedule→pop→deliver; without reuse each cycle would allocate one
 	// event, which dominated the engine's allocation profile
 	// (BenchmarkSimEngineEvents). An event is recycled only once it has
-	// left both its queue and its process's waits list.
+	// left both the queue and its process's waits list.
 	free []*event
 	slab []event
 
 	// shardSlab batch-allocates Shard structs in 8-shard chunks: topologies
 	// mint shards in groups (one per rank, per host, per OpenMP thread), and
 	// sweeps pay that setup once per point, so it shows up in allocs/op.
-	// ringSlab does the same for the shards' timing-wheel bucket arrays,
-	// carved wheelBuckets at a time on first near-term push.
 	shardSlab []Shard
-	ringSlab  []*event
-}
-
-// newRing carves one timing wheel's bucket array from the ring slab.
-func (e *Env) newRing() []*event {
-	if len(e.ringSlab) < wheelBuckets {
-		//cdivet:allow escape wheels are slab-allocated four at a time, on a shard's first near-term event
-		e.ringSlab = make([]*event, 4*wheelBuckets)
-	}
-	r := e.ringSlab[:wheelBuckets:wheelBuckets]
-	e.ringSlab = e.ringSlab[wheelBuckets:]
-	return r
 }
 
 // NewEnv returns an empty environment with the clock at zero.
@@ -119,8 +147,7 @@ func NewEnv() *Env {
 	//cdivet:allow escape one environment per simulation run, built at setup
 	e := &Env{park: make(chan struct{}), parked: make(map[*Proc]struct{})}
 	e.shard0.env = e
-	e.shards = append(e.shards, &e.shard0)
-	e.heads = append(e.heads, headKey{at: math.Inf(1), seq: ^uint64(0)})
+	e.nshards = 1
 	e.horizon = Time(math.Inf(1))
 	return e
 }
@@ -145,10 +172,15 @@ func (e *Env) newEvent() *event {
 	return ev
 }
 
-// schedule enqueues a wake-up event for p on p's shard and registers it
-// with the process, so that delivering any one of a process's outstanding
-// wake-ups cancels the others.
+// schedule enqueues a wake-up event for p and registers it with the
+// process, so that delivering any one of a process's outstanding wake-ups
+// cancels the others. A NaN time would break the heap's (time, seq) order
+// for every other pending event, and validated inputs never produce one, so
+// it is a bug and panics.
 func (e *Env) schedule(at Time, p *Proc, kind wakeKind) *event {
+	if math.IsNaN(float64(at)) {
+		panic("sim: NaN wake-up time")
+	}
 	if at < e.now {
 		at = e.now
 	}
@@ -156,165 +188,39 @@ func (e *Env) schedule(at Time, p *Proc, kind wakeKind) *event {
 	ev := e.newEvent()
 	ev.at, ev.seq, ev.proc, ev.kind = at, e.seq, p, kind
 	ev.cancelled = false
-	s := p.shard
-	s.push(ev, tickOf(e.now))
-	if !s.q.headValid {
-		e.markDirty(s)
-	}
-	e.pending++
+	e.q.pushEv(ev)
 	p.waits = append(p.waits, ev)
 	return ev
 }
 
-// markDirty queues s for a merge-mirror refresh on the next event pop. The
-// per-queue flag keeps each shard in the list at most once.
-func (e *Env) markDirty(s *Shard) {
-	if !s.q.dirty {
-		s.q.dirty = true
-		e.dirty = append(e.dirty, int32(s.id))
-	}
-}
-
-// headKey is one shard's mirror entry: its queue head's (time, seq), or
-// (+Inf, maxuint) for an empty shard. Packing both into one struct keeps a
-// tournament comparison inside a single cache line per shard.
-type headKey struct {
-	at  float64
-	seq uint64
-}
-
-// headLess orders shard mirror entries like evLess orders events. Two
-// non-empty shards can never tie (seq is globally unique), and the Inf/Inf
-// tie for empty shards resolves to "not less", which keeps replay stable.
-func (e *Env) headLess(a, b int32) bool {
-	x, y := &e.heads[a], &e.heads[b]
-	//cdivet:allow floateq exact tie-break mirroring evLess: equal times fall through to the seq comparison
-	if x.at != y.at {
-		return x.at < y.at
-	}
-	return x.seq < y.seq
-}
-
-// mergeReplay recomputes the tournament path from shard i's leaf to the
-// root after its mirror entry changed.
-func (e *Env) mergeReplay(i int) {
-	m := e.merge
-	for n := (e.mergeCap + i) >> 1; n >= 1; n >>= 1 {
-		l, r := m[2*n], m[2*n+1]
-		if e.headLess(r, l) {
-			m[n] = r
-		} else {
-			m[n] = l
-		}
-	}
-}
-
-// mergeRebuild resizes the tournament tree to the current shard count,
-// padding the mirror with empty-shard sentinels up to the next power of
-// two. It runs on shard creation (topology setup), not per event.
-func (e *Env) mergeRebuild() {
-	c := 1
-	for c < len(e.shards) {
-		c <<= 1
-	}
-	e.mergeCap = c
-	for len(e.heads) < c {
-		e.heads = append(e.heads, headKey{at: math.Inf(1), seq: ^uint64(0)})
-	}
-	if cap(e.merge) >= 2*c {
-		e.merge = e.merge[:2*c]
-	} else {
-		//cdivet:allow escape reallocated only when the shard count crosses a power of two, at topology setup
-		e.merge = make([]int32, 2*c)
-	}
-	// Pre-size the dirty list for the worst case (every shard stale) so
-	// markDirty never grows it on the event path.
-	if cap(e.dirty) < c {
-		//cdivet:allow escape same power-of-two growth schedule as the tree itself
-		nd := make([]int32, len(e.dirty), c)
-		copy(nd, e.dirty)
-		e.dirty = nd
-	}
-	for i := 0; i < c; i++ {
-		e.merge[c+i] = int32(i)
-	}
-	for n := c - 1; n >= 1; n-- {
-		l, r := e.merge[2*n], e.merge[2*n+1]
-		if e.headLess(r, l) {
-			e.merge[n] = r
-		} else {
-			e.merge[n] = l
-		}
-	}
-}
-
 // recycle returns a consumed event to the freelist. The caller must hold
-// the only remaining reference: the event is off its queue and no process
+// the only remaining reference: the event is off the queue and no process
 // waits list contains it.
 func (e *Env) recycle(ev *event) {
 	ev.proc = nil
-	ev.link = nil
 	e.free = append(e.free, ev)
 }
 
-// next pops the earliest live event at or before the horizon, merging the
-// shard queues by (time, seq). It returns nil when the run segment is over:
-// either every queue is empty, or the earliest live event lies beyond the
-// horizon (in which case the clock advances to the horizon, matching the
-// contract of RunUntil).
+// next pops the earliest live event at or before the horizon. It returns
+// nil when the run segment is over: either the queue is empty, or the
+// earliest live event lies beyond the horizon (in which case the clock
+// advances to the horizon, matching the contract of RunUntil).
 func (e *Env) next() *event {
-	cursor := tickOf(e.now)
-	for {
-		var bestEv *event
-		var best *Shard
-		if len(e.shards) == 1 {
-			bestEv = e.shard0.q.peek(cursor)
-			best = &e.shard0
-		} else {
-			// Refresh stale mirror entries and replay their tournament
-			// paths; the root then indexes the shard whose head the single
-			// global queue would have surfaced (seq is globally unique, so
-			// the (time, seq) order is total).
-			if len(e.dirty) > 0 {
-				for _, id := range e.dirty {
-					s := e.shards[id]
-					s.q.dirty = false
-					if ev := s.q.peek(cursor); ev != nil {
-						e.heads[id] = headKey{at: float64(ev.at), seq: ev.seq}
-					} else {
-						e.heads[id] = headKey{at: math.Inf(1), seq: ^uint64(0)}
-					}
-					e.mergeReplay(int(id))
-				}
-				e.dirty = e.dirty[:0]
-			}
-			root := e.merge[1]
-			if !math.IsInf(e.heads[root].at, 1) {
-				best = e.shards[root]
-				bestEv = best.q.head
-			}
-		}
-		if bestEv == nil {
-			return nil
-		}
-		if bestEv.cancelled {
-			best.q.popHead()
-			e.markDirty(best)
-			e.pending--
-			e.recycle(bestEv)
+	for len(e.q) > 0 {
+		ev := e.q[0]
+		if ev.cancelled {
+			e.recycle(e.q.popMin())
 			continue
 		}
-		if bestEv.at > e.horizon {
+		if ev.at > e.horizon {
 			if e.now < e.horizon {
 				e.now = e.horizon
 			}
 			return nil
 		}
-		best.q.popHead()
-		e.markDirty(best)
-		e.pending--
-		return bestEv
+		return e.q.popMin()
 	}
+	return nil
 }
 
 // wake consumes ev: it cancels the process's rival wake-ups, clears its
@@ -363,7 +269,7 @@ func (e *Env) dispatch(self *Proc) bool {
 // through which all blocking primitives are reached. Spawn may be called
 // before Run or from inside a running process. Processes modelling distinct
 // hardware domains should be spawned through per-domain shards (NewShard)
-// instead, which bounds the queue each of their wake-ups touches.
+// instead, which records which domain owns each process.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.spawnAt(&e.shard0, 0, name, fn)
 }
@@ -425,7 +331,7 @@ func (e *Env) Run() Time {
 	return e.RunUntil(Time(math.Inf(1)))
 }
 
-// RunUntil drives the simulation until the event queues are exhausted or
+// RunUntil drives the simulation until the event queue is exhausted or
 // the next event lies beyond horizon. The clock never advances past
 // horizon. Within the run, wake-ups are delivered via the baton fast path:
 // control flows process-to-process without bouncing through this
@@ -502,8 +408,8 @@ func (e *Env) Close() {
 	}
 	//cdivet:allow escape teardown: Close runs once per environment
 	e.parked = map[*Proc]struct{}{}
-	// Unwind processes parked on timers (or not yet started), including
-	// wake-ups still sitting in wheel buckets or far heaps.
+	// Unwind processes parked on timers (or not yet started), whatever
+	// their wake-up time.
 	for {
 		ev := e.next()
 		if ev == nil {
@@ -519,5 +425,5 @@ func (e *Env) Close() {
 // String summarizes the environment state for debugging.
 func (e *Env) String() string {
 	return fmt.Sprintf("sim.Env{now: %v, queued: %d, live: %d, blocked: %d, shards: %d}",
-		e.now, e.pending, e.nprocs, len(e.parked), len(e.shards))
+		e.now, len(e.q), e.nprocs, len(e.parked), e.nshards)
 }

@@ -5,12 +5,12 @@ import (
 	"testing"
 )
 
-// The sharded engine's one load-bearing promise is that sharding is purely
-// an indexing optimization: delivery order is identical to a single global
-// event heap for every shard topology. The unit tests pin that for
-// hand-picked tie-breaks; the fuzzer searches for programs where it is not
-// true, by running a random little concurrent program once on 1 shard and
-// once on a fuzzed topology and demanding byte-identical execution logs.
+// Shards are spawn-time ownership keys only: the engine keeps every pending
+// event in one (time, seq) heap, and the shard a process lives on must never
+// affect delivery order. The unit tests pin that for hand-picked
+// tie-breaks; the fuzzer searches for programs where it is not true, by
+// running a random little concurrent program once on 1 shard and once on a
+// fuzzed topology and demanding byte-identical execution logs.
 
 // progOp is one instruction of a fuzzed proc: sleep, yield, fire, wait, or
 // wait-with-timeout over a small set of shared signals.

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // Delivery order at a shared instant must follow the global schedule
 // sequence, not shard topology: procs spread round-robin over the default
@@ -73,22 +76,22 @@ func TestWaitTimeoutTieBreakAcrossShards(t *testing.T) {
 	}
 }
 
-// Close must unwind processes whose pending wake-ups still sit in wheel
-// buckets (near-term sleeps) and far heaps (sleeps beyond the wheel
-// window), across shards, without running any more model code.
+// Close must unwind processes whose wake-ups are still pending — a
+// near-term sleep, a sleep milliseconds out, and a start that was never
+// delivered — across shards, without running any more model code.
 func TestCloseWithPendingWheelEntries(t *testing.T) {
 	env := NewEnv()
 	s := env.NewShard()
 	finished := 0
 	env.Spawn("near", func(p *Proc) {
-		p.Sleep(50 * Microsecond) // within the 256µs wheel window: ring entry
+		p.Sleep(50 * Microsecond)
 		finished++
 	})
 	s.Spawn("far", func(p *Proc) {
-		p.Sleep(5 * Millisecond) // beyond the wheel window: far-heap entry
+		p.Sleep(5 * Millisecond)
 		finished++
 	})
-	// A start event parked in the far heap of a shard, never delivered.
+	// A start event on a non-default shard, never delivered.
 	s.SpawnAt(10*Millisecond, "unstarted", func(p *Proc) { finished++ })
 	env.RunUntil(Time(0).Add(10 * Microsecond))
 	if got := env.Live(); got != 3 {
@@ -103,41 +106,47 @@ func TestCloseWithPendingWheelEntries(t *testing.T) {
 	}
 }
 
-// A horizon falling between two events of the same wheel bucket must
-// deliver the earlier one, clamp the clock exactly to the horizon, and
-// leave the later one for the next run — including on a non-default shard.
+// A horizon falling between two events 600ns apart must deliver the
+// earlier one, clamp the clock exactly to the horizon, and leave the later
+// one for the next run — including on a non-default shard, and at a
+// day-scale base time, where float64 seconds keep far less sub-microsecond
+// resolution than near zero.
 func TestRunUntilHorizonWithinWheelBucket(t *testing.T) {
-	env := NewEnv()
-	defer env.Close()
-	var wokeEarly, wokeLate Time
-	env.Spawn("early", func(p *Proc) {
-		p.Sleep(200 * Nanosecond)
-		wokeEarly = p.Now()
-	})
-	env.NewShard().Spawn("late", func(p *Proc) {
-		p.Sleep(800 * Nanosecond)
-		wokeLate = p.Now()
-	})
-	h := Time(0).Add(500 * Nanosecond) // mid-bucket: both events are in tick 0
-	if got := env.RunUntil(h); got != h {
-		t.Fatalf("RunUntil = %v, want clock clamped to %v", got, h)
-	}
-	if want := Time(0).Add(200 * Nanosecond); wokeEarly != want {
-		t.Errorf("early woke at %v, want %v", wokeEarly, want)
-	}
-	if wokeLate != 0 {
-		t.Errorf("late woke at %v, before the horizon", wokeLate)
-	}
-	env.Run()
-	if want := Time(0).Add(800 * Nanosecond); wokeLate != want {
-		t.Errorf("late woke at %v, want %v", wokeLate, want)
+	for _, base := range []Duration{0, 86400 * Second} {
+		t.Run(fmt.Sprintf("base=%gs", float64(base)), func(t *testing.T) {
+			env := NewEnv()
+			defer env.Close()
+			start := Time(0).Add(base)
+			var wokeEarly, wokeLate Time
+			env.SpawnAt(base, "early", func(p *Proc) {
+				p.Sleep(200 * Nanosecond)
+				wokeEarly = p.Now()
+			})
+			env.NewShard().SpawnAt(base, "late", func(p *Proc) {
+				p.Sleep(800 * Nanosecond)
+				wokeLate = p.Now()
+			})
+			h := start.Add(500 * Nanosecond)
+			if got := env.RunUntil(h); got != h {
+				t.Fatalf("RunUntil = %v, want clock clamped to %v", got, h)
+			}
+			if want := start.Add(200 * Nanosecond); wokeEarly != want {
+				t.Errorf("early woke at %v, want %v", wokeEarly, want)
+			}
+			if wokeLate != 0 {
+				t.Errorf("late woke at %v, before the horizon", wokeLate)
+			}
+			env.Run()
+			if want := start.Add(800 * Nanosecond); wokeLate != want {
+				t.Errorf("late woke at %v, want %v", wokeLate, want)
+			}
+		})
 	}
 }
 
 // Blocked must report exactly the signal-parked processes — sorted, and
-// regardless of which shard each lives on — while sleepers in either timer
-// tier (wheel window or far heap) have pending wake-ups and so never count
-// as blocked.
+// regardless of which shard each lives on — while sleepers, near-term or
+// milliseconds out, have pending wake-ups and so never count as blocked.
 func TestBlockedAcrossShards(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
@@ -146,7 +155,7 @@ func TestBlockedAcrossShards(t *testing.T) {
 	env.Spawn("wait-default", func(p *Proc) { sig.Wait(p) })
 	sA.Spawn("wait-a", func(p *Proc) { sig.Wait(p) })
 	sB.Spawn("wait-b", func(p *Proc) { sig.Wait(p) })
-	// One sleeper inside the wheel window, one past it in the far heap.
+	// One short sleeper and one long one, both outlasting the first run.
 	sA.Spawn("sleep-near", func(p *Proc) { p.Sleep(50 * Microsecond) })
 	sB.Spawn("sleep-far", func(p *Proc) { p.Sleep(5 * Millisecond) })
 

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -42,6 +44,26 @@ func TestSleepNegativeTreatedAsZero(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// A NaN wake-up time would silently break the queue's (time, seq) order for
+// every other pending event, so the engine refuses it outright.
+func TestSleepNaNPanics(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	var got any
+	env.Spawn("p", func(p *Proc) {
+		defer func() { got = recover() }()
+		p.Sleep(Duration(math.NaN()))
+	})
+	env.Spawn("bystander", func(p *Proc) { p.Sleep(Microsecond) })
+	if end := env.Run(); end != Time(0).Add(Microsecond) {
+		t.Errorf("Run() = %v after the rejected sleep, want 1µs", end)
+	}
+	msg, ok := got.(string)
+	if !ok || !strings.HasPrefix(msg, "sim:") {
+		t.Fatalf("Sleep(NaN) recovered %v, want a sim: panic", got)
+	}
 }
 
 func TestEventOrderingFIFOAtSameInstant(t *testing.T) {

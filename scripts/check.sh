@@ -70,7 +70,7 @@ if [ "$pool_j1" != "$pool_j8" ]; then
   exit 1
 fi
 
-# Coverage-guided fuzz smoke of the sharded merge-order invariant. The
+# Coverage-guided fuzz smoke of the shard-independent delivery order. The
 # recorded seeds always run as part of `go test` above; the search itself
 # is opt-in locally (CI always runs its own 10s pass).
 if [ "${CDI_FUZZ:-0}" = "1" ]; then
