@@ -52,13 +52,21 @@ func TestDeterminismInvariants(t *testing.T) {
 // above: zero hotpath/escape findings with no baseline at all. Every accepted
 // allocation in these packages must carry an inline //cdivet:allow directive
 // with its justification, so a new hot-path allocation cannot hide behind a
-// frozen baseline entry.
+// frozen baseline entry. Every configured hot root must also name a function
+// that exists, or the code it anchored would silently leave the hot set.
 func TestHotpathSelfCheck(t *testing.T) {
 	hot, err := analysis.ByName("hotpath,escape")
 	if err != nil {
 		t.Fatalf("resolve analyzers: %v", err)
 	}
-	findings, err := analysis.Run(analysis.Config{
+	m, err := analysis.LoadModule(".")
+	if err != nil {
+		t.Fatalf("hotpath/escape self-check failed to load module: %v", err)
+	}
+	for _, root := range analysis.UnresolvedHotRoots(m) {
+		t.Errorf("hot root %s names no function in the module; update hotRootConfig", root)
+	}
+	findings, err := analysis.RunModule(m, analysis.Config{
 		Patterns: []string{
 			"./internal/serve",
 			"./internal/gpu",

@@ -283,12 +283,12 @@ func BenchmarkAblationThreads(b *testing.B) {
 
 // --- Substrate microbenchmarks ---
 
-// BenchmarkSimEngineEvents measures the engine's per-event dispatch cost on
-// the path every experiment actually runs: one RunUntil spanning b.N timer
-// events. A ticker that re-sleeps inside the run exercises the full
-// schedule→queue→pop→deliver cycle per event, including the baton handoff's
-// self-wake fast path (the Step loop it replaced forced two goroutine
-// switches per event, measuring the driver round-trip instead of dispatch).
+// BenchmarkSimEngineEvents measures the engine's per-event cost on the path
+// every experiment actually runs: one RunUntil spanning b.N timer events. A
+// ticker that re-sleeps inside the run exercises the full
+// schedule→queue→pop→deliver cycle per event through the self-wake path,
+// where a parking process whose own wake-up heads the heap continues inline
+// without a coroutine switch.
 func BenchmarkSimEngineEvents(b *testing.B) {
 	env := sim.NewEnv()
 	defer env.Close()
@@ -671,6 +671,9 @@ func BenchmarkSimEngineFanout(b *testing.B) {
 			}
 		}
 	})
+	// Deliver the start events untimed: each process binds its coroutine
+	// at its first wake-up, and that one-time setup is not a fan-out round.
+	env.RunUntil(0)
 	b.ResetTimer()
 	env.RunUntil(sim.Time(0).Add(sim.Duration(b.N) * sim.Microsecond))
 	b.StopTimer()

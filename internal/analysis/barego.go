@@ -3,17 +3,16 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
-// BareGo flags go statements in simulation packages outside internal/sim.
-// The engine's determinism rests on single-owner handoff: exactly one
-// process runs at a time, and only the sim scheduler may create goroutines
-// (sim.Env.SpawnAt) because only it sequences their wake-ups through the
-// event heap. A bare goroutine anywhere else in the model reintroduces real
-// concurrency — and with it scheduling nondeterminism — behind the
-// engine's back. Package main and test files may use goroutines; they sit
-// outside the simulated world.
+// BareGo flags go statements in simulation packages. The engine's
+// determinism rests on single-owner handoff: exactly one process runs at a
+// time, and simulated processes are coroutines spawned through
+// sim.Env.SpawnAt, which sequences their wake-ups through the event heap.
+// No package creates model goroutines; a bare goroutine anywhere in the
+// model reintroduces real concurrency — and with it scheduling
+// nondeterminism — behind the engine's back. Package main and test files
+// may use goroutines; they sit outside the simulated world.
 //
 // One shape is exempt: a structured sync.WaitGroup worker pool. A
 // `go func() { ... }()` whose literal calls Done on a sync.WaitGroup that
@@ -25,15 +24,12 @@ import (
 // still flagged.
 var BareGo = &Analyzer{
 	Name: "barego",
-	Doc:  "go statement in a simulation package outside internal/sim breaks single-owner handoff (sync.WaitGroup-joined pools are structured and exempt)",
+	Doc:  "go statement in a simulation package breaks single-owner handoff (sync.WaitGroup-joined pools are structured and exempt)",
 	Run:  runBareGo,
 }
 
 func runBareGo(pass *Pass) {
 	if pass.Pkg.Name() == "main" {
-		return
-	}
-	if pass.Path == "repro/internal/sim" || strings.HasSuffix(pass.Path, "/internal/sim") {
 		return
 	}
 	for _, f := range pass.Files {
@@ -50,7 +46,7 @@ func runBareGo(pass *Pass) {
 			}
 			stack = append(stack, n)
 			if g, ok := n.(*ast.GoStmt); ok && !structuredPool(pass, g, stack) {
-				pass.Reportf(g.Pos(), "bare goroutine outside internal/sim; spawn simulated processes via sim.Env, or join the goroutine through a sync.WaitGroup Done/Wait pair in the spawning function")
+				pass.Reportf(g.Pos(), "bare goroutine in a simulation package; spawn simulated processes via sim.Env, or join the goroutine through a sync.WaitGroup Done/Wait pair in the spawning function")
 			}
 			return true
 		})

@@ -39,13 +39,45 @@ var hotRootConfig = []struct {
 	{"internal/lammps", "", "RunPerf"},
 	{"internal/cosmoflow", "", "RunPerf"},
 	{"internal/sim", "Env", "RunUntil"},
-	// The engine's per-event core: the baton dispatch a yielding process
-	// runs, the yield that enters it, and the schedule path that pushes
-	// onto the event heap. Rooting them keeps the heap and the handoff
-	// allocation-clean even if a future caller stops being a root itself.
-	{"internal/sim", "Env", "dispatch"},
+	// The engine's per-event core: the yield a parking process runs and
+	// the schedule path that pushes onto the event heap. Rooting them
+	// keeps the heap and the handoff allocation-clean even if a future
+	// caller stops being a root itself.
 	{"internal/sim", "Env", "schedule"},
 	{"internal/sim", "Proc", "yield"},
+}
+
+// UnresolvedHotRoots returns the hotRootConfig entries that name no
+// function in m, rendered as pkg.Func or pkg.(Recv).Func. Root matching is
+// by name, so a root whose function was deleted or renamed would otherwise
+// stop anchoring anything without a word.
+func UnresolvedHotRoots(m *Module) []string {
+	var missing []string
+	for _, r := range hotRootConfig {
+		found := false
+		for _, p := range m.Packages {
+			if p.Types == nil || (p.Path != r.pkgSuffix && !strings.HasSuffix(p.Path, "/"+r.pkgSuffix)) {
+				continue
+			}
+			if r.recv == "" {
+				_, found = p.Types.Scope().Lookup(r.name).(*types.Func)
+			} else if tn, ok := p.Types.Scope().Lookup(r.recv).(*types.TypeName); ok {
+				obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), true, p.Types, r.name)
+				_, found = obj.(*types.Func)
+			}
+			if found {
+				break
+			}
+		}
+		if !found {
+			name := r.name
+			if r.recv != "" {
+				name = "(" + r.recv + ")." + name
+			}
+			missing = append(missing, r.pkgSuffix+"."+name)
+		}
+	}
+	return missing
 }
 
 // hotpathDirective marks a function as an extra hot root when it appears in

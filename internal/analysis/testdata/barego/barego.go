@@ -1,4 +1,4 @@
-// Corpus for the barego analyzer: goroutines outside internal/sim. The
+// Corpus for the barego analyzer: goroutines in simulation packages. The
 // corpus loads under a synthetic repro/internal/... path so the rule is in
 // scope. Lines marked "// want" must produce exactly one finding.
 package corpus

@@ -17,8 +17,8 @@ import (
 // starving), and even when it survives, wake-up order now depends on the Go
 // runtime rather than the event heap. The analysis is module-wide: a call
 // to a function that transitively reaches a wait point (per the call graph)
-// counts as waiting. Package main and internal/sim itself (whose channel
-// handoffs ARE the engine) are exempt.
+// counts as waiting. Package main and internal/sim itself (whose parking
+// primitives ARE the engine) are exempt.
 var WaitLock = &Analyzer{
 	Name:      "waitlock",
 	Doc:       "sync.Mutex/RWMutex held across a simulated wait point (Proc.Sleep, Signal.Wait, channel handoff)",

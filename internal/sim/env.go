@@ -99,15 +99,10 @@ func (h *eventHeap) popMin() *event {
 //
 // Pending events live in one heap ordered by (time, seq), where seq is a
 // global schedule counter, so the order is total and never consults a
-// process's shard. Control transfer uses a baton scheme: the scheduler loop
-// runs on whichever goroutine is yielding. When a process parks, it pops
-// the next event itself — if that event is its own wake-up it simply
-// continues (no handoff at all); if it belongs to another process it
-// resumes that process directly (one channel operation instead of the
-// classic resume/park round-trip through a central scheduler goroutine).
-// The driver goroutine that called Run only regains control when the run
-// segment ends. Step and Close fall back to the central-handoff path, which
-// delivers exactly one wake-up per exchange.
+// process's shard. Every process body runs as a coroutine, and RunUntil is
+// the one loop that transfers control: it pops the next event and resumes
+// its process, which runs until it parks again. A parking process whose own
+// wake-up heads the heap continues inline without switching at all.
 type Env struct {
 	now     Time
 	seq     uint64
@@ -115,16 +110,13 @@ type Env struct {
 	nshards int
 	shard0  Shard // default domain, embedded to keep NewEnv to one allocation
 
-	horizon Time // current run's clock bound (+Inf outside RunUntil)
-	// direct enables the baton fast path; Step and Close clear it so every
-	// wake-up is delivered from the driver goroutine.
-	direct bool
-	park   chan struct{} // a yielding process hands the run back to the driver
-	nprocs int           // live (started, not finished) processes
-	closed bool
+	horizon Time    // current run's clock bound (+Inf outside RunUntil)
+	nprocs  int     // live (spawned, not finished) processes
+	idle    []*coro // coroutines whose body ended, ready for the next process
+	closed  bool
 
 	// parked tracks every process currently blocked on a Signal (not a
-	// timer), so deadlocks can be reported and Close can unwind goroutines.
+	// timer), so deadlocks can be reported and Close can unwind them.
 	parked map[*Proc]struct{}
 
 	// free recycles consumed events, and slab batch-allocates fresh ones in
@@ -145,7 +137,7 @@ type Env struct {
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
 	//cdivet:allow escape one environment per simulation run, built at setup
-	e := &Env{park: make(chan struct{}), parked: make(map[*Proc]struct{})}
+	e := &Env{parked: make(map[*Proc]struct{})}
 	e.shard0.env = e
 	e.nshards = 1
 	e.horizon = Time(math.Inf(1))
@@ -201,11 +193,12 @@ func (e *Env) recycle(ev *event) {
 	e.free = append(e.free, ev)
 }
 
-// next pops the earliest live event at or before the horizon. It returns
-// nil when the run segment is over: either the queue is empty, or the
-// earliest live event lies beyond the horizon (in which case the clock
-// advances to the horizon, matching the contract of RunUntil).
-func (e *Env) next() *event {
+// head returns the earliest live event at or before the horizon, leaving
+// it queued. It returns nil when the run segment is over: either the queue
+// is empty, or the earliest live event lies beyond the horizon (in which
+// case the clock advances to the horizon, matching the contract of
+// RunUntil).
+func (e *Env) head() *event {
 	for len(e.q) > 0 {
 		ev := e.q[0]
 		if ev.cancelled {
@@ -218,14 +211,22 @@ func (e *Env) next() *event {
 			}
 			return nil
 		}
-		return e.q.popMin()
+		return ev
 	}
 	return nil
 }
 
+// next pops the event head returns.
+func (e *Env) next() *event {
+	if e.head() == nil {
+		return nil
+	}
+	return e.q.popMin()
+}
+
 // wake consumes ev: it cancels the process's rival wake-ups, clears its
 // parked registration, advances the clock, and records the wake kind. The
-// caller transfers control to the returned process (or is it).
+// caller resumes the returned process (or is it).
 func (e *Env) wake(ev *event) *Proc {
 	p := ev.proc
 	for _, o := range p.waits {
@@ -242,26 +243,6 @@ func (e *Env) wake(ev *event) *Proc {
 	p.wake = ev.kind
 	e.recycle(ev)
 	return p
-}
-
-// dispatch advances the simulation from a yielding process's goroutine: it
-// pops the next event and either continues inline (the event is self's own
-// wake-up — the zero-handoff fast path), resumes the winning process
-// directly, or hands the baton back to the driver when the segment is over.
-// It reports whether self was woken inline; otherwise self must block on
-// its resume channel.
-func (e *Env) dispatch(self *Proc) bool {
-	ev := e.next()
-	if ev == nil {
-		e.park <- struct{}{}
-		return false
-	}
-	q := e.wake(ev)
-	if q == self {
-		return true
-	}
-	q.resume <- struct{}{}
-	return false
 }
 
 // Spawn creates a process in the default shard running fn and schedules it
@@ -286,40 +267,10 @@ func (e *Env) spawnAt(s *Shard, delay Duration, name string, fn func(p *Proc)) *
 	if delay < 0 {
 		panic("sim: negative spawn delay")
 	}
-	//cdivet:allow escape one handle and resume channel per spawned process, at spawn time not per iteration
-	p := &Proc{env: e, shard: s, name: name, resume: make(chan struct{})}
+	//cdivet:allow escape one handle per spawned process, at spawn time not per iteration
+	p := &Proc{env: e, shard: s, name: name, fn: fn}
 	p.waits = p.waitsBuf[:0]
 	e.nprocs++
-	go func() {
-		defer func() {
-			r := recover()
-			if r != nil && r != errAborted {
-				// Re-panicking application errors on the scheduler's stack
-				// would be nicer, but surfacing them here keeps the trace.
-				panic(r)
-			}
-			p.finished = true
-			e.nprocs--
-			if !e.direct {
-				e.park <- struct{}{}
-				return
-			}
-			// Baton mode: the dying goroutine keeps the scheduler loop
-			// going. A finished process has no pending wake-ups, so the
-			// next event always belongs to someone else (or ends the run).
-			ev := e.next()
-			if ev == nil {
-				e.park <- struct{}{}
-				return
-			}
-			e.wake(ev).resume <- struct{}{}
-		}()
-		<-p.resume
-		if p.aborted {
-			return
-		}
-		fn(p)
-	}()
 	e.schedule(e.now.Add(delay), p, wakeStart)
 	return p
 }
@@ -333,39 +284,17 @@ func (e *Env) Run() Time {
 
 // RunUntil drives the simulation until the event queue is exhausted or
 // the next event lies beyond horizon. The clock never advances past
-// horizon. Within the run, wake-ups are delivered via the baton fast path:
-// control flows process-to-process without bouncing through this
-// goroutine, which only resumes when the segment ends.
+// horizon. A panic in a process body propagates to the caller.
 func (e *Env) RunUntil(horizon Time) Time {
 	if e.closed {
 		panic("sim: RunUntil on closed Env")
 	}
 	e.horizon = horizon
-	e.direct = true
-	ev := e.next()
-	if ev == nil {
-		e.direct = false
-		return e.now
+	for ev := e.next(); ev != nil; ev = e.next() {
+		e.resume(e.wake(ev))
 	}
-	e.wake(ev).resume <- struct{}{}
-	<-e.park
-	e.direct = false
+	e.stopIdle()
 	return e.now
-}
-
-// Step runs a single event and reports whether one was available. Unlike
-// RunUntil, the woken process hands control straight back after one
-// wake-up, so Step always pays the full driver round-trip.
-func (e *Env) Step() bool {
-	e.horizon = Time(math.Inf(1))
-	e.direct = false
-	ev := e.next()
-	if ev == nil {
-		return false
-	}
-	e.wake(ev).resume <- struct{}{}
-	<-e.park
-	return true
 }
 
 // Blocked returns the names of processes parked on Signals with no pending
@@ -384,42 +313,29 @@ func (e *Env) Blocked() []string {
 // Live returns the number of processes that have started but not finished.
 func (e *Env) Live() int { return e.nprocs }
 
-// Close unwinds every parked process goroutine and marks the environment
-// unusable. It must not be called from inside a process. Close is safe to
-// call after Run; environments that ran to completion with no blocked
-// processes have nothing to unwind.
+// Close unwinds every parked process and marks the environment unusable.
+// It must not be called from inside a process. Close is safe to call after
+// Run; environments that ran to completion with no blocked processes have
+// nothing to unwind.
 func (e *Env) Close() {
 	if e.closed {
 		return
 	}
 	e.closed = true
-	e.direct = false
 	e.horizon = Time(math.Inf(1))
-	// Unwind processes parked on signals.
-	//cdivet:allow maporder teardown after results are final: aborted processes run no model code, so unwind order is unobservable
+	// Teardown happens after results are final, so unwind order is
+	// unobservable.
 	for p := range e.parked {
-		for _, o := range p.waits {
-			o.cancelled = true
-		}
-		p.waits = nil
-		p.aborted = true
-		p.resume <- struct{}{}
-		<-e.park
+		e.abort(p)
 	}
 	//cdivet:allow escape teardown: Close runs once per environment
 	e.parked = map[*Proc]struct{}{}
 	// Unwind processes parked on timers (or not yet started), whatever
 	// their wake-up time.
-	for {
-		ev := e.next()
-		if ev == nil {
-			return
-		}
-		p := e.wake(ev)
-		p.aborted = true
-		p.resume <- struct{}{}
-		<-e.park
+	for ev := e.next(); ev != nil; ev = e.next() {
+		e.abort(e.wake(ev))
 	}
+	e.stopIdle()
 }
 
 // String summarizes the environment state for debugging.

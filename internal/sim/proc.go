@@ -2,7 +2,7 @@ package sim
 
 import "errors"
 
-// errAborted is the panic value used to unwind process goroutines when the
+// errAborted is the panic value used to unwind process bodies when the
 // environment is closed. It never escapes the package.
 var errAborted = errors.New("sim: process aborted by Env.Close")
 
@@ -14,14 +14,13 @@ var ErrTimeout = errors.New("sim: wait timed out")
 // time. A Proc is only valid inside the function passed to Env.Spawn and
 // must not be shared between process functions.
 type Proc struct {
-	env      *Env
-	shard    *Shard // ownership domain the process was spawned into
-	name     string
-	resume   chan struct{}
-	wake     wakeKind // why the last resume happened, set before the handoff
-	waits    []*event // outstanding wake-ups while parked
-	finished bool
-	aborted  bool
+	env   *Env
+	shard *Shard // ownership domain the process was spawned into
+	name  string
+	fn    func(p *Proc)
+	co    *coro    // the coroutine running fn; nil until the first wake-up
+	wake  wakeKind // why the last resume happened
+	waits []*event // outstanding wake-ups while parked
 	// sigParked mirrors membership in env.parked, so the wake path can skip
 	// the map delete — a measurable cost per event — for the overwhelmingly
 	// common timer wake-ups that were never in the map.
@@ -47,22 +46,14 @@ func (p *Proc) Shard() *Shard { return p.shard }
 func (p *Proc) Now() Time { return p.env.now }
 
 // yield parks the process until its next wake-up and returns the wake kind.
-// Inside Run/RunUntil this is the baton handoff: the yielding goroutine
-// dispatches the next event itself, so a process whose own wake-up is next
-// continues with no channel operation at all, and a switch to another
-// process costs a single send. Outside the direct path (Step, Close) the
-// baton goes back to the driver goroutine, which delivers the next wake-up.
+// When the process's own wake-up heads the queue it continues inline;
+// otherwise it switches back to RunUntil's loop, which resumes it later.
+// Close makes the switch fail, and yield then unwinds the body.
 func (p *Proc) yield() wakeKind {
 	e := p.env
-	if e.direct {
-		if e.dispatch(p) {
-			return p.wake
-		}
-	} else {
-		e.park <- struct{}{}
-	}
-	<-p.resume
-	if p.aborted {
+	if ev := e.head(); ev != nil && ev.proc == p {
+		e.wake(e.q.popMin())
+	} else if !p.co.yield(struct{}{}) {
 		panic(errAborted)
 	}
 	return p.wake

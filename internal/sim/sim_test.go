@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -153,34 +154,6 @@ func TestRunUntilHorizon(t *testing.T) {
 	end := env.Run()
 	if end != Time(10) || len(reached) != 10 {
 		t.Fatalf("after resume: end=%v steps=%d, want 10s and 10", end, len(reached))
-	}
-}
-
-func TestStepSingleEvent(t *testing.T) {
-	env := NewEnv()
-	n := 0
-	env.Spawn("p", func(p *Proc) {
-		p.Sleep(1 * Microsecond)
-		n++
-		p.Sleep(1 * Microsecond)
-		n++
-	})
-	if !env.Step() { // start event
-		t.Fatal("Step() = false on non-empty queue")
-	}
-	if n != 0 {
-		t.Fatalf("n = %d after start, want 0", n)
-	}
-	env.Step()
-	if n != 1 {
-		t.Fatalf("n = %d after one sleep, want 1", n)
-	}
-	env.Run()
-	if n != 2 {
-		t.Fatalf("n = %d at end, want 2", n)
-	}
-	if env.Step() {
-		t.Fatal("Step() = true on drained queue")
 	}
 }
 
@@ -590,9 +563,11 @@ func TestPropertyResourceMakespan(t *testing.T) {
 	}
 }
 
-// TestEventFreelistRecycles: after warm-up, the schedule→Pop→deliver cycle
+// TestEventFreelistRecycles: after warm-up, the schedule→pop→deliver cycle
 // of a steadily ticking process reuses recycled events instead of
-// allocating — the hot-path property BenchmarkSimEngineEvents tracks.
+// allocating — the hot-path property BenchmarkSimEngineEvents tracks. Each
+// measured run is a one-microsecond RunUntil segment: one tick, resumed
+// from the driver loop.
 func TestEventFreelistRecycles(t *testing.T) {
 	env := NewEnv()
 	defer env.Close()
@@ -601,14 +576,57 @@ func TestEventFreelistRecycles(t *testing.T) {
 			p.Sleep(1 * Microsecond)
 		}
 	})
-	for i := 0; i < 100; i++ { // warm-up: start event, freelist priming
-		env.Step()
+	horizon := Time(0)
+	segment := func() {
+		horizon = horizon.Add(1 * Microsecond)
+		env.RunUntil(horizon)
 	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		env.Step()
-	})
+	for i := 0; i < 100; i++ { // warm-up: start event, freelist priming
+		segment()
+	}
+	allocs := testing.AllocsPerRun(1000, segment)
 	if allocs > 0 {
-		t.Fatalf("steady-state Step allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("steady-state RunUntil segment allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestProcessPanicSurfacesAtRun: a panic in a process body reaches Run's
+// caller, where it can be recovered, instead of killing the program.
+func TestProcessPanicSurfacesAtRun(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	env.Spawn("bystander", func(p *Proc) { p.Sleep(1 * Second) })
+	env.Spawn("faulty", func(p *Proc) {
+		p.Sleep(1 * Millisecond)
+		panic("model bug")
+	})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		env.Run()
+		return nil
+	}()
+	if got != "model bug" {
+		t.Fatalf("recovered %v, want the process's panic value", got)
+	}
+}
+
+// TestUnclosedEnvLeaksNoGoroutines: processes that run to completion give
+// their coroutines back, so an Env that is never closed leaves nothing
+// running once Run returns.
+func TestUnclosedEnvLeaksNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	env := NewEnv()
+	for i := 0; i < 1000; i++ {
+		env.SpawnAt(Duration(i%7)*Microsecond, "short", func(p *Proc) {
+			p.Sleep(Duration(i%13) * Microsecond)
+		})
+	}
+	env.Run()
+	if env.Live() != 0 {
+		t.Fatalf("Live() = %d after Run, want 0", env.Live())
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("goroutines: %d before, %d after Run without Close", before, after)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
-// The engine drives "processes" — ordinary Go functions running in their own
-// goroutines — through virtual time. At most one process executes at any
-// instant: the scheduler hands control to a process, and the process hands
-// control back when it blocks on a virtual-time primitive (Sleep, a Signal,
-// a Resource, ...). This SimPy-style handoff keeps simulations fully
+// The engine drives "processes" — ordinary Go functions running as
+// coroutines — through virtual time. At most one process executes at any
+// instant: the scheduler loop resumes a process, and the process switches
+// back when it blocks on a virtual-time primitive (Sleep, a Signal, a
+// Resource, ...). This SimPy-style handoff keeps simulations fully
 // deterministic regardless of GOMAXPROCS while letting model code read as
 // straight-line imperative Go.
 //
