@@ -418,18 +418,15 @@ func BenchmarkLAMMPSHybridStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCdivetModule measures one full thirteen-analyzer pass — per-file
+// BenchmarkCdivetModule measures one full twelve-analyzer pass — per-file
 // rules plus the module-wide dataflow layer (call graph, taint fixpoint,
-// wait-point propagation, hot-path allocation and escape analysis, shard
-// affinity and the signal wait graph) — over
-// the already-loaded module. Parsing and type-checking run once outside the
-// timed loop, as cdivet itself amortizes them across analyzers; -benchmem
-// makes allocation regressions in the dataflow engine visible.
+// wait-point propagation, hot-path allocation analysis, shard affinity and
+// the signal wait graph) — over the already-loaded module. Parsing and
+// type-checking run outside the timed loop, on the load the self-check
+// shares, as cdivet itself amortizes them across analyzers; -benchmem makes
+// allocation regressions in the dataflow engine visible.
 func BenchmarkCdivetModule(b *testing.B) {
-	m, err := analysis.LoadModule(".")
-	if err != nil {
-		b.Fatal(err)
-	}
+	m := loadModule(b)
 	baseline, err := analysis.ReadBaseline("cdivet_baseline.json")
 	if err != nil {
 		b.Fatal(err)

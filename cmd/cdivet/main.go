@@ -101,7 +101,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		pruned, removed, trimmed := b.Prune(findings, m.Root)
+		pruned, removed, trimmed := b.Prune(findings, m, cfg)
 		for _, e := range removed {
 			fmt.Fprintf(os.Stderr, "cdivet: pruned: %s %s %q\n", e.Rule, e.File, e.Message)
 		}
@@ -126,7 +126,7 @@ func main() {
 			os.Exit(2)
 		}
 		var suppressed int
-		if stale := b.Stale(findings, m.Root); len(stale) > 0 {
+		if stale := b.Stale(findings, m, cfg); len(stale) > 0 {
 			for _, e := range stale {
 				fmt.Fprintf(os.Stderr, "cdivet: baseline entry no longer matches: %s %s %q\n", e.Rule, e.File, e.Message)
 			}

@@ -8,9 +8,9 @@
 // randomness flows from explicit rand.New(rand.NewSource(seed)) streams, and
 // no result-emitting path depends on Go map iteration order. Nothing in the
 // compiler enforces any of that — a single time.Now(), global rand.Intn, or
-// unsorted map range silently corrupts every regenerated artifact. The six
-// analyzers in this package turn those conventions into build-breaking
-// checks:
+// unsorted map range silently corrupts every regenerated artifact. The
+// twelve analyzers in this package turn those conventions into
+// build-breaking checks:
 //
 //	walltime    wall-clock time in simulated code
 //	seededrand  global math/rand instead of an explicit seeded stream
@@ -22,7 +22,6 @@
 //	simunits    unitless literals / float64 round-trips in sim.Duration math
 //	waitlock    sync.Mutex held across a simulated wait point
 //	hotpath     per-iteration allocation patterns in benchmark-reachable code
-//	escape      escaping heap allocations in hot loops, with escape reasons
 //	shardsafety cross-shard write to shard-owned state without a wait edge
 //	waitgraph   sim.Signal deadlock / lost-wake / unbound-use patterns
 //
@@ -31,8 +30,8 @@
 // propagates nondeterminism through assignments, returns, and cross-package
 // calls and reports only at sinks, so the sorted-keys idiom stays silent
 // while a map-order value laundered through a helper in another package is
-// still caught; hotpath and escape work over the set of functions reachable
-// from the benchmark call graph and the configured steady-state roots; and
+// still caught; hotpath works over the set of functions reachable from the
+// benchmark call graph and the configured steady-state roots; and
 // shardsafety and waitgraph reason over the shard-affinity context
 // (shardctx.go) the PR 7 sharded engine introduced — which proc runs on
 // which event domain, and how sim.Signal wait/fire edges order them.
@@ -169,7 +168,6 @@ func All() []*Analyzer {
 		SimUnits,
 		WaitLock,
 		Hotpath,
-		Escape,
 		ShardSafety,
 		WaitGraph,
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path"
 	"path/filepath"
 )
 
@@ -101,21 +102,56 @@ func (b *Baseline) Filter(findings []Finding, root string) ([]Finding, int) {
 	return kept, suppressed
 }
 
-// Prune shrinks the baseline to what the given findings still justify:
-// entries with no live match are dropped, and entries whose count exceeds
-// the live occurrence count are trimmed down to it. It returns the new
-// baseline plus the entries removed outright and the entries whose counts
-// were reduced (with Count set to the amount trimmed). Unlike re-cutting
-// with -write-baseline, pruning can only shrink the debt — it never
-// absorbs new findings.
-func (b *Baseline) Prune(findings []Finding, root string) (pruned *Baseline, removed, trimmed []BaselineEntry) {
+// inScope returns the test for which baseline entries a run of cfg over m
+// can judge. An entry is out of scope when its rule belongs to the suite but
+// cfg does not enable it, or when its file lies outside the packages cfg's
+// patterns match: the run cannot have produced its finding either way. An
+// entry naming a rule the suite no longer has stays in scope, so a run over
+// its file reports it stale.
+func inScope(m *Module, cfg Config) func(BaselineEntry) bool {
+	enabled := map[string]bool{}
+	for _, a := range cfg.suite() {
+		enabled[a.Name] = true
+	}
+	known := map[string]bool{}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	dirs := map[string]bool{}
+	for _, p := range m.Packages {
+		if m.Match(p, cfg.Patterns) {
+			dirs[relURI(m.Root, p.Dir)] = true
+		}
+	}
+	return func(e BaselineEntry) bool {
+		if known[e.Rule] && !enabled[e.Rule] {
+			return false
+		}
+		return dirs[path.Dir(filepath.ToSlash(e.File))]
+	}
+}
+
+// Prune shrinks the baseline to what the findings of a run of cfg over m
+// still justify: in-scope entries with no live match are dropped, and
+// entries whose count exceeds the live occurrence count are trimmed down to
+// it. Entries the run cannot judge (see inScope) are kept as they are. It
+// returns the new baseline plus the entries removed outright and the
+// entries whose counts were reduced (with Count set to the amount trimmed).
+// Unlike re-cutting with -write-baseline, pruning can only shrink the debt
+// — it never absorbs new findings.
+func (b *Baseline) Prune(findings []Finding, m *Module, cfg Config) (pruned *Baseline, removed, trimmed []BaselineEntry) {
 	live := map[string]int{}
 	for _, f := range findings {
-		live[baselineKey(f.Rule, relURI(root, f.File), f.Message)]++
+		live[baselineKey(f.Rule, relURI(m.Root, f.File), f.Message)]++
 	}
+	judged := inScope(m, cfg)
 	pruned = &Baseline{Version: b.Version}
 	out := pruned
 	for _, e := range b.Entries {
+		if !judged(e) {
+			out.Entries = append(out.Entries, e)
+			continue
+		}
 		k := baselineKey(e.Rule, filepath.ToSlash(e.File), e.Message)
 		c := e.Count
 		if c <= 0 {
@@ -140,16 +176,18 @@ func (b *Baseline) Prune(findings []Finding, root string) (pruned *Baseline, rem
 	return out, removed, trimmed
 }
 
-// Stale returns baseline entries that no longer match any finding — the
-// signal to re-cut or hand-prune the baseline file.
-func (b *Baseline) Stale(findings []Finding, root string) []BaselineEntry {
+// Stale returns the in-scope baseline entries (see inScope) that no
+// finding of a run of cfg over m matches any more — the signal to re-cut or
+// prune the baseline file.
+func (b *Baseline) Stale(findings []Finding, m *Module, cfg Config) []BaselineEntry {
 	live := map[string]int{}
 	for _, f := range findings {
-		live[baselineKey(f.Rule, relURI(root, f.File), f.Message)]++
+		live[baselineKey(f.Rule, relURI(m.Root, f.File), f.Message)]++
 	}
+	judged := inScope(m, cfg)
 	var stale []BaselineEntry
 	for _, e := range b.Entries {
-		if live[baselineKey(e.Rule, filepath.ToSlash(e.File), e.Message)] == 0 {
+		if judged(e) && live[baselineKey(e.Rule, filepath.ToSlash(e.File), e.Message)] == 0 {
 			stale = append(stale, e)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -194,7 +195,8 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunModule(m, Config{Analyzers: []*Analyzer{SimUnits}})
+	cfg := Config{Analyzers: []*Analyzer{SimUnits}}
+	findings, err := RunModule(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +216,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	if len(kept) != 0 || suppressed != len(findings) {
 		t.Errorf("self-filter kept %d findings (suppressed %d of %d)", len(kept), suppressed, len(findings))
 	}
-	if stale := b.Stale(findings, m.Root); len(stale) != 0 {
+	if stale := b.Stale(findings, m, cfg); len(stale) != 0 {
 		t.Errorf("fresh baseline reports stale entries: %v", stale)
 	}
 
@@ -227,7 +229,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 
 	// Entries with no live finding are stale.
-	if stale := b.Stale(nil, m.Root); len(stale) != len(b.Entries) {
+	if stale := b.Stale(nil, m, cfg); len(stale) != len(b.Entries) {
 		t.Errorf("all-gone baseline: %d stale, want %d", len(stale), len(b.Entries))
 	}
 }
@@ -241,7 +243,8 @@ func TestBaselinePrune(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := RunModule(m, Config{Analyzers: []*Analyzer{SimUnits}})
+	cfg := Config{Analyzers: []*Analyzer{SimUnits}}
+	findings, err := RunModule(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +260,7 @@ func TestBaselinePrune(t *testing.T) {
 	inflated = append(inflated, phantom)
 	b := NewBaseline(inflated, m.Root)
 
-	pruned, removed, trimmed := b.Prune(findings, m.Root)
+	pruned, removed, trimmed := b.Prune(findings, m, cfg)
 	if len(removed) != 1 || removed[0].Message != phantom.Message {
 		t.Errorf("removed = %v, want just the phantom", removed)
 	}
@@ -290,7 +293,7 @@ func TestBaselinePrune(t *testing.T) {
 	}
 
 	// Pruning a minimal baseline is the identity.
-	again, removed, trimmed := pruned.Prune(findings, m.Root)
+	again, removed, trimmed := pruned.Prune(findings, m, cfg)
 	if len(removed) != 0 || len(trimmed) != 0 {
 		t.Errorf("pruning a minimal baseline changed it: removed %v trimmed %v", removed, trimmed)
 	}
@@ -299,18 +302,50 @@ func TestBaselinePrune(t *testing.T) {
 	}
 }
 
-// TestSelfCheck: the analyzer package itself must pass its own full suite —
-// an analysis suite that cannot gate its own source has no business gating
-// the model's.
-func TestSelfCheck(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads the full module")
-	}
-	findings, err := Run(Config{Dir: ".", Patterns: []string{"./internal/analysis"}})
+// TestBaselineSubsetScope: a run restricted by rule or by package judges
+// only the baseline entries it could have produced. A subset Stale reports
+// none of the others and a subset Prune keeps them untouched, while an
+// entry for a rule the suite no longer has is judged, so a full run reports
+// it stale.
+func TestBaselineSubsetScope(t *testing.T) {
+	m, err := LoadDirAs(filepath.Join("testdata", "simunits"), corpusPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range findings {
-		t.Errorf("self-check: %s", f)
+	findings, err := RunModule(m, Config{Analyzers: []*Analyzer{SimUnits}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := NewBaseline(findings, m.Root)
+	for _, e := range b.Entries {
+		if strings.HasPrefix(e.File, "internal/") {
+			t.Fatalf("corpus finding %v is inside ./internal/sim; the package subset below would judge it", e)
+		}
+	}
+
+	for _, sub := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"rules", Config{Analyzers: []*Analyzer{MapOrder}}},
+		{"packages", Config{Analyzers: []*Analyzer{SimUnits}, Patterns: []string{"./internal/sim"}}},
+	} {
+		subFindings, err := RunModule(m, sub.cfg)
+		if err != nil {
+			t.Fatalf("%s subset: %v", sub.name, err)
+		}
+		if stale := b.Stale(subFindings, m, sub.cfg); len(stale) != 0 {
+			t.Errorf("%s subset reports out-of-scope entries stale: %v", sub.name, stale)
+		}
+		pruned, removed, trimmed := b.Prune(subFindings, m, sub.cfg)
+		if len(removed) != 0 || len(trimmed) != 0 || !reflect.DeepEqual(pruned.Entries, b.Entries) {
+			t.Errorf("%s subset prune changed out-of-scope entries: removed %v trimmed %v", sub.name, removed, trimmed)
+		}
+	}
+
+	retired := BaselineEntry{Rule: "retired", File: b.Entries[0].File, Message: "a rule that was deleted", Count: 1}
+	b.Entries = append(b.Entries, retired)
+	if stale := b.Stale(findings, m, Config{}); len(stale) != 1 || stale[0] != retired {
+		t.Errorf("full run: stale = %v, want just the retired-rule entry", stale)
 	}
 }

@@ -9,35 +9,25 @@ import (
 
 // Config selects what to analyze.
 type Config struct {
-	// Dir is any directory inside the target module (default ".").
-	Dir string
 	// Patterns restrict the packages analyzed ("./..." when empty).
 	Patterns []string
 	// Analyzers defaults to the full suite (All).
 	Analyzers []*Analyzer
 }
 
-// Run loads the module containing cfg.Dir and applies the analyzer suite to
-// every matching package, returning suppression-filtered findings in stable
-// (file, line, col, rule) order.
-func Run(cfg Config) ([]Finding, error) {
-	dir := cfg.Dir
-	if dir == "" {
-		dir = "."
+// suite returns the analyzers cfg selects: its Analyzers, or All.
+func (cfg Config) suite() []*Analyzer {
+	if len(cfg.Analyzers) == 0 {
+		return All()
 	}
-	m, err := LoadModule(dir)
-	if err != nil {
-		return nil, err
-	}
-	return RunModule(m, cfg)
+	return cfg.Analyzers
 }
 
-// RunModule applies the suite to an already loaded module.
+// RunModule applies the suite to every package of a loaded module that
+// cfg's patterns match, returning suppression-filtered findings in stable
+// (file, line, col, rule) order.
 func RunModule(m *Module, cfg Config) ([]Finding, error) {
-	analyzers := cfg.Analyzers
-	if len(analyzers) == 0 {
-		analyzers = All()
-	}
+	analyzers := cfg.suite()
 
 	var findings []Finding
 	runPass := func(p *Package, files []*ast.File, tpkg *types.Package, info *types.Info) {

@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// This file computes the hot-function set shared by the hotpath and escape
-// analyzers: every function transitively reachable from a hot root. Roots
+// This file computes the hot-function set the hotpath analyzer reports in:
+// every function transitively reachable from a hot root. Roots
 // are (a) Benchmark* functions in test files, (b) the per-iteration methods
 // named in hotRootConfig — the steady-state loops the roadmap benchmarks
 // measure — and (c) any function carrying a //cdivet:hotpath directive in

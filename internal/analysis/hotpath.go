@@ -17,8 +17,8 @@ import (
 // append into a loop-grown local slice with no capacity hint, and boxing
 // into interface{}/any (variadic ...any calls and implicit interface
 // conversions of non-pointer values). Heap allocations proper (make, new,
-// composite literals) belong to the escape rule, which can tell
-// stack-allocatable sites apart.
+// composite literals) are left to the benchmark gate's allocs/op check,
+// which counts what the compiler actually puts on the heap.
 //
 // A finding requires loop context: the site sits inside a lexical for/range
 // loop, or the function itself is only entered from inside one (the looped

@@ -27,7 +27,6 @@ type allocator struct {
 }
 
 func newAllocator(capacity int64) *allocator {
-	//cdivet:allow escape constructed once per device at setup, not per iteration
 	return &allocator{capacity: capacity, sizes: make(map[Ptr]int64)}
 }
 

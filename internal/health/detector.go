@@ -49,7 +49,7 @@ func NewDetector(window int, prior sim.Duration) *Detector {
 	if window < 1 {
 		window = 1
 	}
-	return &Detector{prior: prior, buf: make([]sim.Duration, window)} //cdivet:allow escape constructor runs once per monitored server at startup; Observe and Phi are the alloc-free hot path
+	return &Detector{prior: prior, buf: make([]sim.Duration, window)}
 }
 
 // Observe records a heartbeat arrival at time t. The first observation

@@ -244,7 +244,6 @@ func (e *Engine) enqueue(pd *pending) {
 // newPending hands out a pending record from the engine's slab.
 func (e *Engine) newPending(r Request) *pending {
 	if len(e.pendSlab) == 0 {
-		//cdivet:allow escape slab refill: one amortized allocation per 64 requests
 		e.pendSlab = make([]pending, 64)
 	}
 	pd := &e.pendSlab[0]

@@ -29,7 +29,6 @@ func (e *Env) resume(p *Proc) {
 			e.idle[n-1] = nil
 			e.idle = e.idle[:n-1]
 		} else {
-			//cdivet:allow escape one coroutine per concurrently live process, reused after its body ends
 			c = &coro{env: e}
 			c.next, c.stop = iter.Pull(c.run)
 		}

@@ -35,13 +35,10 @@ go test -race -count=1 -run 'TestChurn' ./internal/experiments/
 # whole sweep must render byte-identically at every worker count.
 echo "== go test -race -count=1 (pool scheduler + sweep)"
 go test -race -count=1 ./internal/pool/
-go test -race -count=1 -run 'TestPool' ./internal/experiments/ .
+go test -race -count=1 -run 'TestPool' ./internal/experiments/
 
 echo "== cdivet ./... (baseline: cdivet_baseline.json)"
 go run ./cmd/cdivet -sarif cdivet.sarif -baseline cdivet_baseline.json ./...
-
-echo "== cdivet -directives ./..."
-go run ./cmd/cdivet -directives ./...
 
 echo "== reproduce -exp serving smoke (-j byte-identity + trace)"
 serving_trace="$(mktemp)"
