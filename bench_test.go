@@ -711,6 +711,32 @@ func BenchmarkPoolPlacement(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolPlacementDefault is BenchmarkPoolPlacement on the
+// default 512-server topology, where a per-placement scan over every
+// server would dominate: one 20 ms churning window at the pool
+// experiment's load.
+func BenchmarkPoolPlacementDefault(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		env := sim.NewEnv()
+		s, err := pool.Start(env, pool.Config{
+			Topo:   pool.DefaultTopology(),
+			Policy: pool.TierAware,
+			Workload: pool.Workload{
+				Seed: 9001, Window: 20 * sim.Millisecond, Load: 0.95, Intensity: 1,
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		env.Run()
+		env.Close()
+		if st := s.Stats(); st.Placed == 0 {
+			b.Fatal("placement path not exercised")
+		}
+	}
+}
+
 // BenchmarkPoolDefragSweep runs the same churning window with the
 // defragmenter on, so sweep planning and migration copies ride the
 // placement path.

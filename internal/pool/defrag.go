@@ -57,29 +57,31 @@ func (s *Scheduler) sweep(now sim.Time) bool {
 
 // pickVictim returns the live, unpinned server with the smallest nonzero
 // batch occupancy whose every allocation is single-server (multi-server
-// gangs and serving replicas do not migrate), or -1.
+// gangs and serving replicas do not migrate), lowest index on ties, or
+// -1. It walks the index buckets from GPUsPerServer−1 free down to 0.
 func (s *Scheduler) pickVictim() int {
-	best, bestOcc := -1, 0
-	for sv := range s.free {
-		if !s.live[sv] || s.pinned[sv] > 0 {
+	n := len(s.free)
+	for f := s.topo.GPUsPerServer - 1; f >= 0; f-- {
+		if s.freeHist[f] == 0 {
 			continue
 		}
-		occ := s.topo.GPUsPerServer - s.free[sv]
-		if occ <= 0 || (best >= 0 && occ >= bestOcc) {
-			continue
-		}
-		movable := true
-		for _, id := range s.jobsOn[sv] {
-			if len(s.allocs[id].slices) != 1 {
-				movable = false
-				break
+		for sv := s.nextIn(f, 0, n); sv >= 0; sv = s.nextIn(f, sv+1, n) {
+			if s.pinned[sv] == 0 && s.movable(sv) {
+				return sv
 			}
 		}
-		if movable {
-			best, bestOcc = sv, occ
+	}
+	return -1
+}
+
+// movable reports whether every allocation on a server is single-server.
+func (s *Scheduler) movable(sv int) bool {
+	for _, id := range s.jobsOn[sv] {
+		if len(s.allocs[id].slices) != 1 {
+			return false
 		}
 	}
-	return best
+	return true
 }
 
 // planSweep assigns each of the victim's jobs a best-fit target against a

@@ -2,7 +2,6 @@ package pool
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/fabric"
 )
@@ -61,17 +60,14 @@ func (s *Scheduler) placeJob(j Job) ([]slice, fabric.Scale, bool) {
 }
 
 // firstFit takes free GPUs in global server order until the gang is
-// covered.
+// covered, walking the index's any-free set.
 func (s *Scheduler) firstFit(gang int) []slice {
 	if s.totalFree < gang {
 		return nil
 	}
 	s.scratchSl = s.scratchSl[:0]
-	need := gang
-	for sv := 0; sv < len(s.free) && need > 0; sv++ {
-		if !s.live[sv] || s.free[sv] == 0 {
-			continue
-		}
+	need, n, k := gang, len(s.free), s.anySet()
+	for sv := s.nextIn(k, 0, n); sv >= 0 && need > 0; sv = s.nextIn(k, sv+1, n) {
 		take := s.free[sv]
 		if take > need {
 			take = need
@@ -125,18 +121,15 @@ func (s *Scheduler) allowScale(sh Shape, sc fabric.Scale, gate bool) bool {
 }
 
 // bestServer returns the live server with the smallest free block that
-// still fits the gang, lowest index on ties, or -1.
+// still fits the gang, lowest index on ties, or -1: the first member of
+// the lowest nonempty index bucket at or above the gang.
 func (s *Scheduler) bestServer(gang int) int {
-	best, bestFree := -1, 0
-	for sv, f := range s.free {
-		if !s.live[sv] || f < gang {
-			continue
-		}
-		if best < 0 || f < bestFree {
-			best, bestFree = sv, f
+	for f := gang; f < len(s.freeHist); f++ {
+		if s.freeHist[f] > 0 {
+			return s.nextIn(f, 0, len(s.free))
 		}
 	}
-	return best
+	return -1
 }
 
 // bestGroup returns the index of the tightest group (rack or row, by its
@@ -155,31 +148,23 @@ func (s *Scheduler) bestGroup(groupFree []int, gang int) int {
 }
 
 // fillGroup covers the gang inside servers [base, base+n), visiting the
-// fullest free blocks first (fewest crossings), ascending index on ties.
-// The key encoding keeps the sort allocation-free and closure-free:
-// ascending order of (GPUsPerServer−free)·servers+index is descending
-// free, ascending index.
+// fullest free blocks first (fewest crossings), ascending index on ties:
+// the index buckets from GPUsPerServer down to 1, each in index order.
 func (s *Scheduler) fillGroup(base, n, gang int) []slice {
-	total := len(s.free)
-	s.scratchKeys = s.scratchKeys[:0]
-	for sv := base; sv < base+n && sv < total; sv++ {
-		if !s.live[sv] || s.free[sv] == 0 {
-			continue
-		}
-		s.scratchKeys = append(s.scratchKeys, (s.topo.GPUsPerServer-s.free[sv])*total+sv)
-	}
-	sort.Ints(s.scratchKeys)
+	end := min(base+n, len(s.free))
 	s.scratchSl = s.scratchSl[:0]
 	need := gang
-	for _, key := range s.scratchKeys {
-		sv := key % total
-		take := s.free[sv]
-		if take > need {
-			take = need
+	for f := len(s.freeHist) - 1; f >= 1; f-- {
+		if s.freeHist[f] == 0 {
+			continue
 		}
-		s.scratchSl = append(s.scratchSl, slice{sv, take})
-		if need -= take; need == 0 {
-			return s.finishSlices()
+		take := min(f, need)
+		for sv := s.nextIn(f, base, end); sv >= 0; sv = s.nextIn(f, sv+1, end) {
+			s.scratchSl = append(s.scratchSl, slice{sv, take})
+			if need -= take; need == 0 {
+				return s.finishSlices()
+			}
+			take = min(f, need)
 		}
 	}
 	return nil

@@ -1,7 +1,9 @@
 package pool
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/fabric"
@@ -132,37 +134,77 @@ func runPool(t *testing.T, cfg Config) Stats {
 	return s.Stats()
 }
 
-// TestSchedulerSmoke runs a churning pool to completion and checks the
-// accounting invariants: every job resolves, goodput lands in (0, 1],
-// metrics stay finite.
+// runAudited drives env to completion in 1 ms RunUntil segments and
+// fails at the first segment boundary where the scheduler's audit finds
+// drift.
+func runAudited(t *testing.T, env *sim.Env, s *Scheduler) {
+	t.Helper()
+	for at := sim.Time(0); env.Live() > 0; {
+		if at = at.Add(sim.Millisecond); at.Sub(0) > 100*sim.Second {
+			t.Fatalf("pool still running at %v", at)
+		}
+		env.RunUntil(at)
+		if err := s.audit(); err != nil {
+			t.Fatalf("at %v: %v", at, err)
+		}
+	}
+}
+
+// TestSchedulerSmoke runs a churning pool to completion under every
+// policy, with the defragmenter off and on, and the pinned crash cell
+// with its health plane draining and readmitting servers. It audits
+// every aggregate after each millisecond and checks the accounting
+// invariants: every job resolves, goodput lands in (0, 1], metrics stay
+// finite.
 func TestSchedulerSmoke(t *testing.T) {
+	var cells []pinCell
 	for pol := FirstFit; pol <= TierAware; pol++ {
-		st := runPool(t, Config{
-			Topo:   testTopo(),
-			Policy: pol,
-			Workload: Workload{
-				Seed: 7, Window: 50 * sim.Millisecond, Load: 0.7, Intensity: 1,
-			},
-			Defrag: true,
+		for _, df := range []bool{false, true} {
+			cells = append(cells, pinCell{
+				name: fmt.Sprintf("%v/defrag=%v", pol, df),
+				cfg: Config{
+					Topo:   testTopo(),
+					Policy: pol,
+					Workload: Workload{
+						Seed: 7, Window: 50 * sim.Millisecond, Load: 0.7, Intensity: 1,
+					},
+					Defrag: df,
+				},
+			})
+		}
+	}
+	for _, c := range append(cells, crashCell()) {
+		t.Run(c.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			defer env.Close()
+			s, err := startCell(env, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runAudited(t, env, s)
+			st := s.Stats()
+			if st.Jobs == 0 || st.Placed == 0 {
+				t.Fatalf("no jobs ran: %+v", st)
+			}
+			if st.Placed+st.Killed < st.Jobs {
+				t.Fatalf("%d jobs, only %d placed + %d killed", st.Jobs, st.Placed, st.Killed)
+			}
+			if st.Goodput <= 0 || st.Goodput > 1 {
+				t.Fatalf("goodput %g outside (0, 1]", st.Goodput)
+			}
+			if math.IsNaN(st.FragAvg) || st.FragAvg < 0 || st.FragAvg > 1 {
+				t.Fatalf("frag average %g", st.FragAvg)
+			}
+			if st.StrandedAvg < 0 {
+				t.Fatalf("stranded average %g", st.StrandedAvg)
+			}
+			if st.PeakConcurrent <= 0 {
+				t.Fatalf("peak concurrency %d", st.PeakConcurrent)
+			}
+			if c.faulty && (st.Drains == 0 || st.Readmissions == 0 || st.DrainMigrations == 0) {
+				t.Fatalf("crash cell exercised no drain recovery: %+v", st)
+			}
 		})
-		if st.Jobs == 0 || st.Placed == 0 {
-			t.Fatalf("%v: no jobs ran: %+v", pol, st)
-		}
-		if st.Placed+st.Killed < st.Jobs {
-			t.Fatalf("%v: %d jobs, only %d placed + %d killed", pol, st.Jobs, st.Placed, st.Killed)
-		}
-		if st.Goodput <= 0 || st.Goodput > 1 {
-			t.Fatalf("%v: goodput %g outside (0, 1]", pol, st.Goodput)
-		}
-		if math.IsNaN(st.FragAvg) || st.FragAvg < 0 || st.FragAvg > 1 {
-			t.Fatalf("%v: frag average %g", pol, st.FragAvg)
-		}
-		if st.StrandedAvg < 0 {
-			t.Fatalf("%v: stranded average %g", pol, st.StrandedAvg)
-		}
-		if st.PeakConcurrent <= 0 {
-			t.Fatalf("%v: peak concurrency %d", pol, st.PeakConcurrent)
-		}
 	}
 }
 
@@ -316,4 +358,230 @@ func TestTopology(t *testing.T) {
 			t.Errorf("CrossingScale(%d, %d) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
+}
+
+// The linear scans the free-count index replaced, kept as oracles: every
+// indexed query must return exactly what its scan returns.
+
+// oracleBestServer scans for the live server with the smallest free
+// block that fits the gang, lowest index on ties, or -1.
+func oracleBestServer(s *Scheduler, gang int) int {
+	best, bestFree := -1, 0
+	for sv, f := range s.free {
+		if !s.live[sv] || f < gang {
+			continue
+		}
+		if best < 0 || f < bestFree {
+			best, bestFree = sv, f
+		}
+	}
+	return best
+}
+
+// oracleFirstFit takes free GPUs in global server order until the gang is
+// covered.
+func oracleFirstFit(s *Scheduler, gang int) []slice {
+	if s.totalFree < gang {
+		return nil
+	}
+	var out []slice
+	need := gang
+	for sv := 0; sv < len(s.free) && need > 0; sv++ {
+		if !s.live[sv] || s.free[sv] == 0 {
+			continue
+		}
+		take := min(s.free[sv], need)
+		out = append(out, slice{sv, take})
+		need -= take
+	}
+	if need > 0 {
+		return nil
+	}
+	return out
+}
+
+// oracleFillGroup sorts the group's free servers by descending free
+// count, ascending index, and covers the gang in that order.
+func oracleFillGroup(s *Scheduler, base, n, gang int) []slice {
+	var order []int
+	for sv := base; sv < base+n && sv < len(s.free); sv++ {
+		if s.live[sv] && s.free[sv] > 0 {
+			order = append(order, sv)
+		}
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return s.free[b] - s.free[a] })
+	var out []slice
+	need := gang
+	for _, sv := range order {
+		take := min(s.free[sv], need)
+		out = append(out, slice{sv, take})
+		if need -= take; need == 0 {
+			return out
+		}
+	}
+	return nil
+}
+
+// oraclePickVictim scans for the live, unpinned, movable server with the
+// smallest nonzero occupancy, lowest index on ties, or -1.
+func oraclePickVictim(s *Scheduler) int {
+	best, bestOcc := -1, 0
+	for sv := range s.free {
+		if !s.live[sv] || s.pinned[sv] > 0 {
+			continue
+		}
+		occ := s.topo.GPUsPerServer - s.free[sv]
+		if occ <= 0 || (best >= 0 && occ >= bestOcc) {
+			continue
+		}
+		if s.movable(sv) {
+			best, bestOcc = sv, occ
+		}
+	}
+	return best
+}
+
+// checkIndex audits the scheduler and compares every indexed placement
+// query with its oracle.
+func checkIndex(t *testing.T, s *Scheduler, step string) {
+	t.Helper()
+	if err := s.audit(); err != nil {
+		t.Fatalf("after %s: %v", step, err)
+	}
+	topo, n := s.topo, len(s.free)
+	g := topo.GPUsPerServer
+	for gang := 0; gang <= g+1; gang++ {
+		if got, want := s.bestServer(gang), oracleBestServer(s, gang); got != want {
+			t.Fatalf("after %s: bestServer(%d) = %d, oracle %d", step, gang, got, want)
+		}
+	}
+	same := func(query string, got, want []slice) {
+		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
+			t.Fatalf("after %s: %s = %v, oracle %v", step, query, got, want)
+		}
+	}
+	rowServers := topo.ServersPerRack * topo.RacksPerRow
+	for _, gang := range []int{1, 2, 3, g, g + 1, 2*g + 1, s.totalFree, s.totalFree + 1} {
+		if gang < 1 {
+			continue // gangs are never empty
+		}
+		same(fmt.Sprintf("firstFit(%d)", gang), s.firstFit(gang), oracleFirstFit(s, gang))
+		for r := 0; r < topo.Racks(); r++ {
+			base := r * topo.ServersPerRack
+			same(fmt.Sprintf("fillGroup(rack %d, %d)", r, gang),
+				s.fillGroup(base, topo.ServersPerRack, gang), oracleFillGroup(s, base, topo.ServersPerRack, gang))
+		}
+		for w := 0; w < topo.Rows; w++ {
+			same(fmt.Sprintf("fillGroup(row %d, %d)", w, gang),
+				s.fillGroup(w*rowServers, rowServers, gang), oracleFillGroup(s, w*rowServers, rowServers, gang))
+		}
+		same(fmt.Sprintf("fillGroup(pool, %d)", gang), s.fillGroup(0, n, gang), oracleFillGroup(s, 0, n, gang))
+	}
+	if got, want := s.pickVictim(), oraclePickVictim(s); got != want {
+		t.Fatalf("after %s: pickVictim() = %d, oracle %d", step, got, want)
+	}
+}
+
+// FuzzPlacementIndex drives a scheduler through a fuzzed sequence of
+// claims (arrivals and queue retries), unclaims (completions), drains,
+// readmissions and defrag sweeps on a fuzzed topology, and after every
+// step checks the audit and every indexed query against its oracle.
+//
+// Input: four topology bytes (rows 1–3, racks per row 1–4, servers per
+// rack 1–24, GPUs per server 1–16; up to 288 servers, so sets span
+// several words and most counts are not a multiple of 64), one byte for
+// policy, serving reservation and load, then (op, arg) byte pairs.
+func FuzzPlacementIndex(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 2, 0, 3, 0, 4, 0, 1, 0})
+	f.Add([]byte{2, 3, 23, 15, 4, 0, 9, 2, 5, 3, 17, 3, 200, 5, 0, 2, 1, 4, 0, 4, 1, 6, 0, 0, 7, 5, 0})
+	f.Add([]byte{1, 3, 15, 3, 5, 3, 40, 3, 41, 2, 0, 2, 3, 6, 0, 5, 0, 4, 0, 0, 0, 3, 90, 4, 2})
+	f.Add([]byte{0, 2, 22, 7, 8, 1, 0, 2, 7, 2, 8, 3, 128, 3, 129, 0, 0, 5, 0, 6, 0, 4, 0, 4, 1})
+	// Blocks a gang, drains and readmits, then commits a defrag sweep.
+	f.Add([]byte("01812B0B9101010C0A0Y00"))
+	// Drains a server, then places a queued gang on retry.
+	f.Add([]byte("01010B010C000"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		topo := Topology{
+			Rows:           1 + int(data[0])%3,
+			RacksPerRow:    1 + int(data[1])%4,
+			ServersPerRack: 1 + int(data[2])%24,
+			GPUsPerServer:  1 + int(data[3])%16,
+		}
+		cfg := Config{
+			Topo:   topo,
+			Policy: Policy(data[4] % 3),
+			Workload: Workload{
+				Seed: int64(data[4]), Window: 20 * sim.Millisecond,
+				Load: 0.1 + 0.1*float64(data[4]/6%9), Intensity: 1,
+			},
+		}
+		if data[4]/3%2 == 1 && topo.GPUs() > 8 {
+			cfg.Serving = pinTenants
+			cfg.ServingGPUs = 4
+		}
+		env := sim.NewEnv()
+		defer env.Close()
+		s, err := Start(env, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIndex(t, s, "start")
+		ops, now := data[5:], sim.Time(0)
+		for i := 0; i+1 < len(ops) && i < 400; i += 2 {
+			op, arg := ops[i]%7, int(ops[i+1])
+			var step string
+			switch op {
+			case 0, 1:
+				if s.nextArrival < len(s.jobs) {
+					now = max(now, s.jobs[s.nextArrival].Arrival)
+				}
+				step = fmt.Sprintf("admit at %v", now)
+				s.admitArrivals(now)
+			case 2:
+				var placed []int
+				for id, a := range s.allocs {
+					if a.state == allocPlaced {
+						placed = append(placed, id)
+					}
+				}
+				id := pick(placed, arg)
+				step = fmt.Sprintf("complete job %d", id)
+				if id >= 0 {
+					s.complete(id, now)
+				}
+			case 3:
+				sv := arg * len(s.free) / 256
+				step = fmt.Sprintf("drain server %d", sv)
+				s.drainServer(sv, now)
+			case 4:
+				var drained []int
+				for sv, live := range s.live {
+					if !live {
+						drained = append(drained, sv)
+					}
+				}
+				sv := pick(drained, arg)
+				step = fmt.Sprintf("readmit server %d", sv)
+				s.readmitServer(sv)
+			case 5:
+				step = "defrag sweep"
+				s.sweep(now)
+			case 6:
+				step = "queue retry"
+				s.tryQueue(now)
+			}
+			checkIndex(t, s, step)
+		}
+	})
+}
+
+// pick returns ids[k mod len(ids)], or -1 when ids is empty.
+func pick(ids []int, k int) int {
+	if len(ids) == 0 {
+		return -1
+	}
+	return ids[k%len(ids)]
 }

@@ -176,6 +176,12 @@ type Scheduler struct {
 	freeRow []int
 	//cdivet:shard(pool.sched)
 	freeHist []int
+	// idx is the free-count server index (index.go), idxWords words per
+	// set.
+	//cdivet:shard(pool.sched)
+	idx []uint64
+	//cdivet:shard(pool.sched)
+	idxWords int
 	//cdivet:shard(pool.sched)
 	totalFree int
 	//cdivet:shard(pool.sched)
@@ -221,7 +227,6 @@ type Scheduler struct {
 
 	// scratch buffers reused across placements and sweeps.
 	scratchSl    []slice
-	scratchKeys  []int
 	scratchJobs  []int
 	scratchMoves []move
 	planFree     []int
@@ -244,6 +249,7 @@ func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 	if cfg.ServingGPUs < 0 || cfg.ServingGPUs >= gpus {
 		return nil, fmt.Errorf("pool: serving reservation %d outside [0, %d)", cfg.ServingGPUs, gpus)
 	}
+	words := (servers + 63) / 64
 	s := &Scheduler{
 		env:       env,
 		cfg:       cfg,
@@ -255,6 +261,8 @@ func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 		freeRack:  make([]int, racks),
 		freeRow:   make([]int, topo.Rows),
 		freeHist:  make([]int, topo.GPUsPerServer+1),
+		idx:       make([]uint64, (topo.GPUsPerServer+2)*words),
+		idxWords:  words,
 		pinned:    make([]int, servers),
 		jobsOn:    make([][]int, servers),
 		live:      make([]bool, servers),
@@ -263,8 +271,8 @@ func Start(env *sim.Env, cfg Config) (*Scheduler, error) {
 	for sv := range s.free {
 		s.free[sv] = topo.GPUsPerServer
 		s.live[sv] = true
+		s.enter(sv, topo.GPUsPerServer)
 	}
-	s.freeHist[topo.GPUsPerServer] = servers
 	s.totalFree = gpus
 	for r := range s.freeRack {
 		s.freeRack[r] = topo.ServersPerRack * topo.GPUsPerServer
@@ -445,8 +453,8 @@ func (s *Scheduler) largest() int {
 // O(1); unclaim returns them.
 func (s *Scheduler) claim(sv, n int) {
 	f, capEff := s.free[sv], s.capEff(sv)
-	s.freeHist[f]--
-	s.freeHist[f-n]++
+	s.leave(sv, f)
+	s.enter(sv, f-n)
 	s.stranded += strandedContrib(f-n, capEff, s.refGang) - strandedContrib(f, capEff, s.refGang)
 	s.free[sv] = f - n
 	s.totalFree -= n
@@ -608,7 +616,7 @@ func (s *Scheduler) drainServer(v int, now sim.Time) {
 	s.stats.Drains++
 	s.live[v] = false
 	f := s.free[v]
-	s.freeHist[f]--
+	s.leave(v, f)
 	s.stranded -= strandedContrib(f, s.capEff(v), s.refGang)
 	s.totalFree -= f
 	s.freeRack[s.topo.RackOf(v)] -= f
@@ -658,7 +666,7 @@ func (s *Scheduler) readmitServer(v int) {
 	s.live[v] = true
 	f := s.capEff(v)
 	s.free[v] = f
-	s.freeHist[f]++
+	s.enter(v, f)
 	s.stranded += strandedContrib(f, f, s.refGang)
 	s.totalFree += f
 	s.freeRack[s.topo.RackOf(v)] += f
