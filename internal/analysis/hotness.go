@@ -45,6 +45,9 @@ var hotRootConfig = []struct {
 	// caller stops being a root itself.
 	{"internal/sim", "Env", "schedule"},
 	{"internal/sim", "Proc", "yield"},
+	// The GPU stream runner, a step body the engine calls through a
+	// function value once per op phase, so no static edge reaches it.
+	{"internal/gpu", "Stream", "step"},
 }
 
 // UnresolvedHotRoots returns the hotRootConfig entries that name no

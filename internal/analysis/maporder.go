@@ -31,7 +31,7 @@ func orderDependentCall(name string) string {
 	case strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint") ||
 		strings.HasPrefix(name, "Write") || strings.HasPrefix(name, "Encode"):
 		return "writes output"
-	case name == "Spawn" || name == "SpawnAt" || name == "Fire" || name == "Launch" || name == "schedule":
+	case name == "Spawn" || name == "SpawnAt" || name == "SpawnStep" || name == "Fire" || name == "Launch" || name == "schedule":
 		return "posts simulator events"
 	}
 	return ""

@@ -27,8 +27,8 @@ import (
 // names the field a domain *binder*: procs spawned through it carry that
 // domain. On any other field it marks shard-owned *state* of that domain.
 // The same annotation on the line of (or directly above) a Shard.Spawn/
-// SpawnAt call or a `x := env.NewShard()` assignment names the domain of an
-// anonymous local shard.
+// SpawnAt/SpawnStep call or a `x := env.NewShard()` assignment names the
+// domain of an anonymous local shard.
 //
 // Affinity inference is a may-analysis over the static call graph: a spawned
 // function literal or method value seeds its region with the spawn site's
@@ -119,7 +119,7 @@ func (r *shardRegion) describe() string {
 	return "func literal"
 }
 
-// spawnSite is one resolved Spawn/SpawnAt call.
+// spawnSite is one resolved Spawn/SpawnAt/SpawnStep call.
 type spawnSite struct {
 	region  *shardRegion // region containing the call
 	call    *ast.CallExpr
@@ -378,8 +378,9 @@ func simMethod(info *types.Info, call *ast.CallExpr, recvName string) (string, a
 	return fn.Name(), sel.X, true
 }
 
-// resolveSpawns finds the Spawn/SpawnAt calls a region directly owns and
-// resolves each one's domain and spawnee.
+// resolveSpawns finds the Spawn/SpawnAt/SpawnStep calls a region directly
+// owns and resolves each one's domain and spawnee. A step process body is
+// a proc region like any other: it runs on its shard's domain.
 func (sc *shardContext) resolveSpawns(r *shardRegion, spawnArg map[*ast.FuncLit]bool) {
 	info := r.pkg.Info
 	inspectRegion(r.body, func(node ast.Node) bool {
@@ -388,7 +389,7 @@ func (sc *shardContext) resolveSpawns(r *shardRegion, spawnArg map[*ast.FuncLit]
 			return true
 		}
 		var site spawnSite
-		if name, recv, ok := simMethod(info, call, "Shard"); ok && (name == "Spawn" || name == "SpawnAt") {
+		if name, recv, ok := simMethod(info, call, "Shard"); ok && (name == "Spawn" || name == "SpawnAt" || name == "SpawnStep") {
 			site = spawnSite{region: r, call: call}
 			site.domain, site.inherit = sc.resolveShardExpr(r, recv)
 			site.spawnee = sc.spawnedRegion(r, call, name)

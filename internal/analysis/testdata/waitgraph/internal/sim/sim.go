@@ -30,6 +30,9 @@ func (s *Shard) Spawn(name string, fn func(p *Proc)) {}
 // SpawnAt starts fn on the shard's domain after delay.
 func (s *Shard) SpawnAt(delay Duration, name string, fn func(p *Proc)) {}
 
+// SpawnStep starts a stackless step process on the shard's domain.
+func (s *Shard) SpawnStep(name string, step func(p *Proc) bool) {}
+
 // Proc is a process handle.
 type Proc struct{}
 
@@ -53,6 +56,9 @@ func (s *Signal) Wait(p *Proc) {}
 
 // WaitTimeout parks until the signal fires or d elapses.
 func (s *Signal) WaitTimeout(p *Proc, d Duration) bool { return true }
+
+// Arm registers the process as a waiter without parking.
+func (s *Signal) Arm(p *Proc) {}
 
 // Fire wakes every waiter.
 func (s *Signal) Fire() {}

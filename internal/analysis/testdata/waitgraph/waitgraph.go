@@ -134,3 +134,26 @@ func suppressed(env *sim.Env) {
 		quiet.Wait(p)
 	})
 }
+
+// armed: a step process arms the signal instead of waiting on it. The arm
+// counts as the waiter, so the fire is not a lost wake. Clean.
+func armed(env *sim.Env) {
+	kick := sim.NewSignal(env)
+	env.NewShard().SpawnStep("stepper", func(p *sim.Proc) bool {
+		kick.Arm(p)
+		return true
+	})
+	env.Spawn("kicker", func(p *sim.Proc) {
+		kick.Fire()
+	})
+}
+
+// armedNeverFired: an arm with no Fire anywhere parks the step process
+// forever.
+func armedNeverFired(env *sim.Env) {
+	stall := sim.NewSignal(env)
+	env.NewShard().SpawnStep("stalled", func(p *sim.Proc) bool {
+		stall.Arm(p) // want
+		return true
+	})
+}

@@ -33,7 +33,9 @@ import (
 // checks entirely rather than risking a false accusation. Waits inside a
 // for/range loop are treated as guarded (the repo-wide `for !cond {
 // sig.Wait(p) }` discipline re-checks its condition), so they never
-// contribute lost-wake or cycle findings.
+// contribute lost-wake or cycle findings. A step process's Arm counts as a
+// wait for the waited/fired checks; a step body re-checks its condition on
+// every wake-up, so an Arm is always guarded.
 var WaitGraph = &Analyzer{
 	Name:      "waitgraph",
 	Doc:       "sim.Signal waited but never fired, fired before its waiter spawns, used unbound, or in a timeout-free wait cycle",
@@ -44,7 +46,7 @@ var WaitGraph = &Analyzer{
 type sigSite struct {
 	region  *shardRegion
 	pos     token.Pos
-	method  string // Bind, Wait, WaitTimeout, Fire, FireOne
+	method  string // Bind, Wait, WaitTimeout, Arm, Fire, FireOne
 	guarded bool   // inside a for/range loop in its region
 }
 
@@ -142,7 +144,7 @@ func (w *waitGraph) collectSites() {
 				return true
 			}
 			switch name {
-			case "Bind", "Wait", "WaitTimeout", "Fire", "FireOne":
+			case "Bind", "Wait", "WaitTimeout", "Arm", "Fire", "FireOne":
 			default:
 				return true
 			}
@@ -366,18 +368,18 @@ func (w *waitGraph) orderedClasses() []*signalClass {
 // checkClass applies the per-class checks: waited-never-fired,
 // fired-never-waited, and value-type use before Bind.
 func (w *waitGraph) checkClass(mp *ModulePass, c *signalClass) {
-	waits := c.count("Wait", "WaitTimeout")
+	waits := c.count("Wait", "WaitTimeout", "Arm")
 	fires := c.count("Fire", "FireOne")
 	binds := c.count("Bind")
 
 	if c.valueType && (waits > 0 || fires > 0) && binds == 0 {
-		mp.Reportf(c.firstUse("Wait", "WaitTimeout", "Fire", "FireOne"),
+		mp.Reportf(c.firstUse("Wait", "WaitTimeout", "Arm", "Fire", "FireOne"),
 			"sim.Signal %s is used but never bound: Bind(env) must run before the first use (Fire on an unbound Signal dereferences a nil Env)", c.desc)
 		return
 	}
 	if waits > 0 && fires == 0 {
 		for _, s := range c.sites {
-			if s.method == "Wait" || s.method == "WaitTimeout" {
+			if s.method == "Wait" || s.method == "WaitTimeout" || s.method == "Arm" {
 				mp.Reportf(s.pos,
 					"sim.Signal %s is waited on here but never fired anywhere in the module: the waiter parks forever (deterministic deadlock)", c.desc)
 			}

@@ -106,7 +106,7 @@ type Device struct {
 	dma     *sim.Resource
 
 	// Execution-history state, written only by the device's own stream
-	// runners (execKernel/execCopy).
+	// runners (Stream.step).
 	//cdivet:shard(gpu.device)
 	lastComputeEnd sim.Time
 	//cdivet:shard(gpu.device)
@@ -267,9 +267,29 @@ type Stream struct {
 	arrive  *sim.Signal
 	drained *sim.Signal
 	closed  bool
+
+	// The runner's in-flight op and where it stands; see step. The timing
+	// fields are set when the op starts and reported when it ends.
+	phase  streamPhase
+	cur    *Op
+	start  sim.Time
+	ctx    sim.Duration // context switch paid before cur (kernels only)
+	gap    sim.Duration // compute idle time before cur (kernels only)
+	warmup sim.Duration // starvation penalty charged to cur (kernels only)
+	dur    sim.Duration // engine occupancy of cur
 }
 
-// NewStream creates a stream and starts its runner process.
+// streamPhase is where a stream's runner stands with its in-flight op.
+type streamPhase uint8
+
+const (
+	phaseIdle    streamPhase = iota // no op in flight: take the next, or wait for one
+	phaseAcquire                    // waiting for the op's engine
+	phaseSwitch                     // paying the context switch before a kernel
+	phaseRun                        // the op occupies its engine until its end
+)
+
+// NewStream creates a stream and starts its runner, a step process.
 func (d *Device) NewStream() *Stream {
 	s := &Stream{
 		id:      d.nextStreamID,
@@ -280,7 +300,7 @@ func (d *Device) NewStream() *Stream {
 	d.nextStreamID++
 	d.streams = append(d.streams, s)
 	//cdivet:allow hotpath the runner name is built once per stream creation
-	d.shard.Spawn(d.spec.Name+"/stream"+strconv.Itoa(s.id), s.run)
+	d.shard.SpawnStep(d.spec.Name+"/stream"+strconv.Itoa(s.id), s.step)
 	return s
 }
 
@@ -354,118 +374,141 @@ func (d *Device) Sync(p *sim.Proc) {
 	d.allIdle.Wait(p)
 }
 
-// run is the stream's device-side execution loop.
-func (s *Stream) run(p *sim.Proc) {
+// step is the stream's device-side runner. It is a stackless step
+// process: each call moves the in-flight op through idle → acquire engine
+// → context switch → run → complete until the op must wait, then arms that
+// wait and returns. Ops run back to back within one call when nothing
+// holds them up. Every wake-up is armed at the point where a blocking loop
+// would park, so it takes the same (time, seq) slot.
+func (s *Stream) step(p *sim.Proc) bool {
 	d := s.dev
 	for {
-		for s.head == len(s.queue) {
-			// Drained: rewind onto the same backing array so steady-state
-			// enqueue traffic stops growing it.
-			s.queue = s.queue[:0]
-			s.head = 0
-			if s.closed {
-				return
+		switch s.phase {
+		case phaseIdle:
+			if s.head == len(s.queue) {
+				// Drained: rewind onto the same backing array so steady-state
+				// enqueue traffic stops growing it.
+				s.queue = s.queue[:0]
+				s.head = 0
+				if s.closed {
+					return false
+				}
+				s.arrive.Arm(p)
+				return true
 			}
-			s.arrive.Wait(p)
-		}
-		o := s.queue[s.head]
-		s.queue[s.head] = nil
-		s.head++
-		switch o.kind {
-		case opKernel:
-			s.execKernel(p, o)
-		case opCopy:
-			s.execCopy(p, o)
-		case opMark:
-			// Zero-cost ordering marker (CUDA event record).
-		}
-		o.done = true
-		s.pending--
-		d.allIdle.Done()
-		o.doneSig.Fire()
-		if s.pending == 0 {
-			s.drained.Fire()
+			s.cur = s.queue[s.head]
+			s.queue[s.head] = nil
+			s.head++
+			if s.cur.kind == opMark {
+				// Zero-cost ordering marker (CUDA event record).
+				s.complete()
+				continue
+			}
+			s.phase = phaseAcquire
+		case phaseAcquire:
+			if !s.engine().AcquireOrArm(p) {
+				return true
+			}
+			s.ctx = 0
+			if s.cur.kind == opKernel && d.everComputed && d.lastStream != s.id && d.spec.ContextSwitch > 0 {
+				s.ctx = d.spec.ContextSwitch
+				s.phase = phaseSwitch
+				p.ArmTimer(s.ctx)
+				return true
+			}
+			s.begin(p)
+			return true
+		case phaseSwitch:
+			d.counters.CtxSwitches++
+			d.counters.CtxTotal += s.ctx
+			s.begin(p)
+			return true
+		case phaseRun:
+			s.finish(p.Now())
+			s.complete()
 		}
 	}
 }
 
-// execKernel runs a kernel on the (exclusive) compute engine, charging the
-// starvation warm-up when the engine had gone idle.
-func (s *Stream) execKernel(p *sim.Proc, o *Op) {
-	d := s.dev
-	d.compute.Acquire(p)
-	var ctxSwitch sim.Duration
-	if d.everComputed && d.lastStream != s.id && d.spec.ContextSwitch > 0 {
-		ctxSwitch = d.spec.ContextSwitch
-		p.Sleep(ctxSwitch)
-		d.counters.CtxSwitches++
-		d.counters.CtxTotal += ctxSwitch
+// engine returns the resource the in-flight op executes on: the exclusive
+// compute engine for kernels, a DMA engine for copies.
+func (s *Stream) engine() *sim.Resource {
+	if s.cur.kind == opKernel {
+		return s.dev.compute
 	}
-	start := p.Now()
-	var gap sim.Duration
-	if d.everComputed {
-		gap = start.Sub(d.lastComputeEnd)
-		if gap < 0 {
-			gap = 0
-		}
-	}
-	base := o.kernel.baseDuration(d.spec)
-	var warmup sim.Duration
-	if gap > 0 {
-		g := gap
-		if g > d.spec.WarmupSaturation {
-			g = d.spec.WarmupSaturation
-		}
-		warmup = sim.Duration(d.spec.WarmupRate) * g
-		d.counters.IdleEvents++
-	}
-	dur := base + warmup
-	p.Sleep(dur)
-	end := p.Now()
-	d.lastComputeEnd = end
-	d.lastStream = s.id
-	d.everComputed = true
-	d.counters.Kernels++
-	d.counters.ComputeBusy += dur
-	d.counters.WarmupTotal += warmup
-	d.compute.Release()
-
-	ev := KernelEvent{
-		Device:    d.spec.Name,
-		Stream:    s.id,
-		Name:      o.kernel.Name,
-		Enqueue:   o.enqueue,
-		Start:     start,
-		End:       end,
-		Warmup:    warmup,
-		IdleGap:   gap,
-		CtxSwitch: ctxSwitch,
-	}
-	for _, l := range d.listeners {
-		l.OnKernel(ev)
-	}
+	return s.dev.dma
 }
 
-// execCopy runs a transfer on a DMA engine.
-func (s *Stream) execCopy(p *sim.Proc, o *Op) {
-	d := s.dev
-	d.dma.Acquire(p)
-	start := p.Now()
-	var bw float64
-	switch o.dir {
-	case H2D:
-		bw = d.spec.H2DBandwidth
-	case D2H:
-		bw = d.spec.D2HBandwidth
-	case D2D:
-		// On-package copy: both a read and a write against HBM.
-		bw = d.spec.MemoryBandwidth / 2
-	default:
-		panic(fmt.Sprintf("gpu: unknown copy direction %v", o.dir))
+// begin starts the in-flight op on its engine and arms the wake-up at its
+// end. A kernel pays the starvation warm-up when the compute engine had
+// gone idle; a copy pays the DMA latency plus bytes over bandwidth.
+func (s *Stream) begin(p *sim.Proc) {
+	d, o := s.dev, s.cur
+	s.start = p.Now()
+	if o.kind == opKernel {
+		s.gap, s.warmup = 0, 0
+		if d.everComputed {
+			s.gap = s.start.Sub(d.lastComputeEnd)
+			if s.gap < 0 {
+				s.gap = 0
+			}
+		}
+		if s.gap > 0 {
+			g := s.gap
+			if g > d.spec.WarmupSaturation {
+				g = d.spec.WarmupSaturation
+			}
+			s.warmup = sim.Duration(d.spec.WarmupRate) * g
+			d.counters.IdleEvents++
+		}
+		s.dur = o.kernel.baseDuration(d.spec) + s.warmup
+	} else {
+		var bw float64
+		switch o.dir {
+		case H2D:
+			bw = d.spec.H2DBandwidth
+		case D2H:
+			bw = d.spec.D2HBandwidth
+		case D2D:
+			// On-package copy: both a read and a write against HBM.
+			bw = d.spec.MemoryBandwidth / 2
+		default:
+			panic(fmt.Sprintf("gpu: unknown copy direction %v", o.dir))
+		}
+		s.dur = d.spec.CopyLatency + sim.Duration(float64(o.bytes)/bw)
 	}
-	dur := d.spec.CopyLatency + sim.Duration(float64(o.bytes)/bw)
-	p.Sleep(dur)
-	end := p.Now()
+	s.phase = phaseRun
+	p.ArmTimer(s.dur)
+}
+
+// finish ends the in-flight op at end: it updates the device history and
+// counters, releases the engine and reports the completion to listeners.
+func (s *Stream) finish(end sim.Time) {
+	d, o := s.dev, s.cur
+	if o.kind == opKernel {
+		d.lastComputeEnd = end
+		d.lastStream = s.id
+		d.everComputed = true
+		d.counters.Kernels++
+		d.counters.ComputeBusy += s.dur
+		d.counters.WarmupTotal += s.warmup
+		d.compute.Release()
+		ev := KernelEvent{
+			Device:    d.spec.Name,
+			Stream:    s.id,
+			Name:      o.kernel.Name,
+			Enqueue:   o.enqueue,
+			Start:     s.start,
+			End:       end,
+			Warmup:    s.warmup,
+			IdleGap:   s.gap,
+			CtxSwitch: s.ctx,
+		}
+		for _, l := range d.listeners {
+			l.OnKernel(ev)
+		}
+		return
+	}
 	switch o.dir {
 	case H2D:
 		d.counters.CopiesH2D++
@@ -477,19 +520,33 @@ func (s *Stream) execCopy(p *sim.Proc, o *Op) {
 		d.counters.CopiesD2D++
 		d.counters.BytesD2D += o.bytes
 	}
-	d.counters.CopyBusy += dur
+	d.counters.CopyBusy += s.dur
 	d.dma.Release()
-
 	ev := CopyEvent{
 		Device:  d.spec.Name,
 		Stream:  s.id,
 		Dir:     o.dir,
 		Bytes:   o.bytes,
 		Enqueue: o.enqueue,
-		Start:   start,
+		Start:   s.start,
 		End:     end,
 	}
 	for _, l := range d.listeners {
 		l.OnCopy(ev)
 	}
+}
+
+// complete marks the in-flight op done, wakes whoever synchronizes on it,
+// and returns the runner to idle.
+func (s *Stream) complete() {
+	o := s.cur
+	o.done = true
+	s.pending--
+	s.dev.allIdle.Done()
+	o.doneSig.Fire()
+	if s.pending == 0 {
+		s.drained.Fire()
+	}
+	s.cur = nil
+	s.phase = phaseIdle
 }

@@ -89,6 +89,11 @@ type World struct {
 	bytesP2P int64
 	//cdivet:shard(mpi.rank)
 	msgsP2P int64
+
+	//cdivet:shard(mpi.rank)
+	// free recycles delivered messages: halo exchanges send several
+	// messages per rank step, and each would otherwise be an allocation.
+	free []*message
 }
 
 // collective is the rendezvous state for one collective call site.
@@ -181,7 +186,16 @@ func (r *Rank) Send(dst, tag int, bytes int64, payload any) {
 		panic(fmt.Sprintf("mpi: send to rank %d of %d", dst, r.w.size))
 	}
 	r.p.Sleep(r.w.cost.transferTime(bytes))
-	r.w.inbox[dst] = append(r.w.inbox[dst], &message{src: r.rank, tag: tag, bytes: bytes, payload: payload})
+	var m *message
+	if n := len(r.w.free); n > 0 {
+		m = r.w.free[n-1]
+		r.w.free[n-1] = nil
+		r.w.free = r.w.free[:n-1]
+	} else {
+		m = new(message)
+	}
+	m.src, m.tag, m.bytes, m.payload = r.rank, tag, bytes, payload
+	r.w.inbox[dst] = append(r.w.inbox[dst], m)
 	r.w.msgsP2P++
 	r.w.bytesP2P += bytes
 	r.w.avail[dst].Fire()
@@ -194,8 +208,15 @@ func (r *Rank) Recv(src, tag int) (any, int64) {
 		box := r.w.inbox[r.rank]
 		for i, m := range box {
 			if m.src == src && m.tag == tag {
-				r.w.inbox[r.rank] = append(box[:i], box[i+1:]...)
-				return m.payload, m.bytes
+				// Close the gap and clear the vacated tail slot, so the
+				// inbox's spare capacity pins no delivered message.
+				copy(box[i:], box[i+1:])
+				box[len(box)-1] = nil
+				r.w.inbox[r.rank] = box[:len(box)-1]
+				payload, n := m.payload, m.bytes
+				m.payload = nil
+				r.w.free = append(r.w.free, m)
+				return payload, n
 			}
 		}
 		r.w.avail[r.rank].Wait(r.p)

@@ -284,6 +284,51 @@ func TestTrafficCounters(t *testing.T) {
 	}
 }
 
+// Delivered messages are recycled, and neither the freelist nor the
+// inbox's spare capacity keeps a delivered payload reachable.
+func TestRecvReleasesDeliveredPayloads(t *testing.T) {
+	env := sim.NewEnv()
+	defer env.Close()
+	w := NewWorld(env, 2, zeroCost())
+	var got []int
+	w.Spawn(0, func(r *Rank) {
+		for tag := 0; tag < 3; tag++ {
+			r.Send(1, tag, 8, []int{tag})
+		}
+		r.Barrier()
+		r.Send(1, 9, 8, []int{9})
+	})
+	w.Spawn(1, func(r *Rank) {
+		r.Barrier()
+		// Out of arrival order, so a middle slot is vacated first.
+		for _, tag := range []int{1, 0, 2} {
+			v, _ := r.Recv(0, tag)
+			got = append(got, v.([]int)[0])
+		}
+		v, _ := r.Recv(0, 9)
+		got = append(got, v.([]int)[0])
+	})
+	env.Run()
+	if len(got) != 4 || got[0] != 1 || got[1] != 0 || got[2] != 2 || got[3] != 9 {
+		t.Fatalf("received %v, want [1 0 2 9]", got)
+	}
+	box := w.inbox[1]
+	for i, m := range box[:cap(box)] {
+		if m != nil {
+			t.Errorf("inbox slot %d still holds a delivered message", i)
+		}
+	}
+	// The fourth send reused a message the first receives released.
+	if len(w.free) != 3 {
+		t.Errorf("freelist holds %d messages, want 3", len(w.free))
+	}
+	for _, m := range w.free {
+		if m.payload != nil {
+			t.Errorf("recycled message still holds payload %v", m.payload)
+		}
+	}
+}
+
 func TestInvalidRanksPanic(t *testing.T) {
 	env := sim.NewEnv()
 	defer env.Close()

@@ -37,6 +37,24 @@ func (e *Env) resume(p *Proc) {
 	c.next()
 }
 
+// runStep calls a step process's body for one wake-up and retires the
+// process when the body reports it is done. A body must leave exactly one
+// of those states: a wake-up armed and true returned, or nothing armed and
+// false returned. Either mistake would strand the process, so it panics.
+func (e *Env) runStep(p *Proc) {
+	more := p.step(p)
+	if armed := len(p.waits) > 0 || p.sigParked; more != armed {
+		if more {
+			panic("sim: step process " + p.name + " returned true with no wake-up armed")
+		}
+		panic("sim: step process " + p.name + " returned false with a wake-up armed")
+	}
+	if !more {
+		p.step = nil
+		e.nprocs--
+	}
+}
+
 // run is the coroutine body: it runs the bound process to completion, then
 // parks on the idle list until resume binds the next process to it. Close
 // and stopIdle end it through stop, which makes yield return false. A

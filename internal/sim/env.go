@@ -99,10 +99,13 @@ func (h *eventHeap) popMin() *event {
 //
 // Pending events live in one heap ordered by (time, seq), where seq is a
 // global schedule counter, so the order is total and never consults a
-// process's shard. Every process body runs as a coroutine, and RunUntil is
-// the one loop that transfers control: it pops the next event and resumes
-// its process, which runs until it parks again. A parking process whose own
-// wake-up heads the heap continues inline without switching at all.
+// process's shard. A process body runs as a coroutine, or, for a stackless
+// step process (SpawnStep), as a plain function called once per wake-up.
+// RunUntil is the one loop that transfers control: it pops the next event
+// and resumes its coroutine, or calls its step body, which runs until it
+// parks again. A parking coroutine first runs any step wake-ups heading
+// the heap inline, and continues inline without switching at all when its
+// own wake-up comes next.
 type Env struct {
 	now     Time
 	seq     uint64
@@ -115,9 +118,11 @@ type Env struct {
 	idle    []*coro // coroutines whose body ended, ready for the next process
 	closed  bool
 
-	// parked tracks every process currently blocked on a Signal (not a
-	// timer), so deadlocks can be reported and Close can unwind them.
-	parked map[*Proc]struct{}
+	// parked lists every process currently registered on a Signal (not
+	// only a timer), so deadlocks can be reported and Close can unwind
+	// them. Each process records its slot (Proc.parkIdx), and removal swaps
+	// the last entry into it.
+	parked []*Proc
 
 	// free recycles consumed events, and slab batch-allocates fresh ones in
 	// 64-event chunks. The hot loop of every simulation is
@@ -136,7 +141,7 @@ type Env struct {
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
-	e := &Env{parked: make(map[*Proc]struct{})}
+	e := &Env{}
 	e.shard0.env = e
 	e.nshards = 1
 	e.horizon = Time(math.Inf(1))
@@ -234,13 +239,36 @@ func (e *Env) wake(ev *event) *Proc {
 	}
 	p.waits = p.waits[:0]
 	if p.sigParked {
-		delete(e.parked, p)
-		p.sigParked = false
+		e.unpark(p)
 	}
 	e.now = ev.at
 	p.wake = ev.kind
 	e.recycle(ev)
 	return p
+}
+
+// park adds p to the parked list. A process parks on at most one Signal per
+// wake-up; a second park before the wake-up would list it twice.
+func (e *Env) park(p *Proc) {
+	if p.sigParked {
+		panic("sim: process " + p.name + " armed a second Signal before waking")
+	}
+	p.parkIdx = int32(len(e.parked))
+	p.sigParked = true
+	e.parked = append(e.parked, p)
+}
+
+// unpark removes p from the parked list, moving the last entry into its
+// slot. Order within the list is unobservable: Blocked sorts, and Close's
+// unwind order does not matter.
+func (e *Env) unpark(p *Proc) {
+	last := len(e.parked) - 1
+	moved := e.parked[last]
+	e.parked[p.parkIdx] = moved
+	moved.parkIdx = p.parkIdx
+	e.parked[last] = nil
+	e.parked = e.parked[:last]
+	p.sigParked = false
 }
 
 // Spawn creates a process in the default shard running fn and schedules it
@@ -250,22 +278,24 @@ func (e *Env) wake(ev *event) *Proc {
 // hardware domains should be spawned through per-domain shards (NewShard)
 // instead, which records which domain owns each process.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.spawnAt(&e.shard0, 0, name, fn)
+	return e.spawnAt(&e.shard0, 0, &Proc{name: name, fn: fn})
 }
 
 // SpawnAt is Spawn with a start delay.
 func (e *Env) SpawnAt(delay Duration, name string, fn func(p *Proc)) *Proc {
-	return e.spawnAt(&e.shard0, delay, name, fn)
+	return e.spawnAt(&e.shard0, delay, &Proc{name: name, fn: fn})
 }
 
-func (e *Env) spawnAt(s *Shard, delay Duration, name string, fn func(p *Proc)) *Proc {
+// spawnAt binds p, whose name and body are set, to the shard and schedules
+// its start delay from now.
+func (e *Env) spawnAt(s *Shard, delay Duration, p *Proc) *Proc {
 	if e.closed {
 		panic("sim: Spawn on closed Env")
 	}
 	if delay < 0 {
 		panic("sim: negative spawn delay")
 	}
-	p := &Proc{env: e, shard: s, name: name, fn: fn}
+	p.env, p.shard = e, s
 	p.waits = p.waitsBuf[:0]
 	e.nprocs++
 	e.schedule(e.now.Add(delay), p, wakeStart)
@@ -288,20 +318,26 @@ func (e *Env) RunUntil(horizon Time) Time {
 	}
 	e.horizon = horizon
 	for ev := e.next(); ev != nil; ev = e.next() {
-		e.resume(e.wake(ev))
+		if p := e.wake(ev); p.step != nil {
+			e.runStep(p)
+		} else {
+			e.resume(p)
+		}
 	}
 	e.stopIdle()
 	return e.now
 }
 
 // Blocked returns the names of processes parked on Signals with no pending
-// wake-up — the processes that would deadlock if Run returned now. The
-// result is sorted for stable test output.
+// wake-up — the processes that would deadlock if Run returned now. A
+// process in WaitTimeout still has its deadline pending, so it is not
+// blocked. The result is sorted for stable test output.
 func (e *Env) Blocked() []string {
 	names := make([]string, 0, len(e.parked))
-	//cdivet:allow maporder keys are collected unordered and sorted on the next line
-	for p := range e.parked {
-		names = append(names, p.name)
+	for _, p := range e.parked {
+		if len(p.waits) == 0 {
+			names = append(names, p.name)
+		}
 	}
 	sort.Strings(names)
 	return names
@@ -321,11 +357,16 @@ func (e *Env) Close() {
 	e.closed = true
 	e.horizon = Time(math.Inf(1))
 	// Teardown happens after results are final, so unwind order is
-	// unobservable.
-	for p := range e.parked {
+	// unobservable. The list is detached first, so a body that fires a
+	// signal while it unwinds cannot reorder the entries still to visit.
+	parked := e.parked
+	e.parked = nil
+	for _, p := range parked {
+		p.sigParked = false
+	}
+	for _, p := range parked {
 		e.abort(p)
 	}
-	e.parked = map[*Proc]struct{}{}
 	// Unwind processes parked on timers (or not yet started), whatever
 	// their wake-up time.
 	for ev := e.next(); ev != nil; ev = e.next() {

@@ -11,20 +11,25 @@ var errAborted = errors.New("sim: process aborted by Env.Close")
 var ErrTimeout = errors.New("sim: wait timed out")
 
 // Proc is the handle a simulated process uses to interact with virtual
-// time. A Proc is only valid inside the function passed to Env.Spawn and
-// must not be shared between process functions.
+// time. A Proc is only valid inside the function passed to Env.Spawn (or
+// the step body passed to Shard.SpawnStep) and must not be shared between
+// process functions.
 type Proc struct {
 	env   *Env
 	shard *Shard // ownership domain the process was spawned into
 	name  string
 	fn    func(p *Proc)
-	co    *coro    // the coroutine running fn; nil until the first wake-up
-	wake  wakeKind // why the last resume happened
-	waits []*event // outstanding wake-ups while parked
-	// sigParked mirrors membership in env.parked, so the wake path can skip
-	// the map delete — a measurable cost per event — for the overwhelmingly
-	// common timer wake-ups that were never in the map.
+	// step is the body of a stackless step process (SpawnStep); nil for a
+	// coroutine process, whose body is fn.
+	step func(p *Proc) bool
+	co   *coro    // the coroutine running fn; nil until the first wake-up
+	wake wakeKind // why the last resume happened
+	// sigParked mirrors membership in env.parked, so the wake path skips
+	// the parked-list removal for the overwhelmingly common timer wake-ups
+	// that were never in it. parkIdx is the process's slot in that list.
 	sigParked bool
+	parkIdx   int32
+	waits     []*event // outstanding wake-ups while parked
 
 	// waitsBuf backs waits inline: a process has at most two outstanding
 	// wake-ups in every blocking primitive the package offers (a timer
@@ -46,26 +51,47 @@ func (p *Proc) Shard() *Shard { return p.shard }
 func (p *Proc) Now() Time { return p.env.now }
 
 // yield parks the process until its next wake-up and returns the wake kind.
-// When the process's own wake-up heads the queue it continues inline;
-// otherwise it switches back to RunUntil's loop, which resumes it later.
-// Close makes the switch fail, and yield then unwinds the body.
+// Wake-ups of step processes that head the queue run inline first, as
+// plain calls; when the process's own wake-up then heads the queue it
+// continues inline too. Otherwise it switches back to RunUntil's loop,
+// which resumes it later. Close makes the switch fail, and yield then
+// unwinds the body.
 func (p *Proc) yield() wakeKind {
+	if p.co == nil {
+		panic("sim: step process " + p.name + " called a blocking primitive; a step body arms its wake-up and returns")
+	}
 	e := p.env
-	if ev := e.head(); ev != nil && ev.proc == p {
-		e.wake(e.q.popMin())
-	} else if !p.co.yield(struct{}{}) {
+	for {
+		ev := e.head()
+		if ev == nil || (ev.proc != p && ev.proc.step == nil) {
+			break
+		}
+		q := e.wake(e.q.popMin())
+		if q == p {
+			return p.wake
+		}
+		e.runStep(q)
+	}
+	if !p.co.yield(struct{}{}) {
 		panic(errAborted)
 	}
 	return p.wake
 }
 
-// Sleep suspends the process for d of virtual time. Negative durations are
-// treated as zero (the process still yields, preserving event ordering).
-func (p *Proc) Sleep(d Duration) {
+// ArmTimer schedules the process's next wake-up d of virtual time from now,
+// without parking: Sleep's non-blocking half, for step bodies. Negative
+// durations are treated as zero.
+func (p *Proc) ArmTimer(d Duration) {
 	if d < 0 {
 		d = 0
 	}
 	p.env.schedule(p.env.now.Add(d), p, wakeTimer)
+}
+
+// Sleep suspends the process for d of virtual time. Negative durations are
+// treated as zero (the process still yields, preserving event ordering).
+func (p *Proc) Sleep(d Duration) {
+	p.ArmTimer(d)
 	p.yield()
 }
 
@@ -117,11 +143,19 @@ func (s *Signal) remove(p *Proc) {
 	}
 }
 
+// Arm registers the process as a waiter without parking: the next Fire
+// wakes it. It is Wait's non-blocking half, for step bodies, which re-check
+// their condition on every wake-up as Wait's callers do in a guard loop.
+// A body may arm at most one Signal (or Resource queue) per wake-up; a
+// second arm panics.
+func (s *Signal) Arm(p *Proc) {
+	s.waiters = append(s.waiters, p)
+	p.env.park(p)
+}
+
 // Wait parks the process until the next Fire.
 func (s *Signal) Wait(p *Proc) {
-	s.waiters = append(s.waiters, p)
-	p.env.parked[p] = struct{}{}
-	p.sigParked = true
+	s.Arm(p)
 	p.yield()
 }
 
@@ -129,9 +163,7 @@ func (s *Signal) Wait(p *Proc) {
 // whichever comes first. It returns nil if the signal fired and ErrTimeout
 // if the deadline won.
 func (s *Signal) WaitTimeout(p *Proc, d Duration) error {
-	s.waiters = append(s.waiters, p)
-	p.env.parked[p] = struct{}{}
-	p.sigParked = true
+	s.Arm(p)
 	p.env.schedule(p.env.now.Add(d), p, wakeTimer)
 	if p.yield() == wakeTimer {
 		// The deadline won; we are no longer a live waiter. (If Fire ran in
@@ -154,8 +186,7 @@ func (s *Signal) Fire() {
 	s.waiters = s.waiters[:0]
 	for _, p := range waiters {
 		if p.sigParked {
-			delete(s.env.parked, p)
-			p.sigParked = false
+			s.env.unpark(p)
 		}
 		s.env.schedule(s.env.now, p, wakeSignal)
 	}
@@ -171,8 +202,7 @@ func (s *Signal) FireOne() bool {
 	copy(s.waiters, s.waiters[1:])
 	s.waiters = s.waiters[:len(s.waiters)-1]
 	if p.sigParked {
-		delete(s.env.parked, p)
-		p.sigParked = false
+		s.env.unpark(p)
 	}
 	s.env.schedule(s.env.now, p, wakeSignal)
 	return true
@@ -202,10 +232,22 @@ func NewResource(env *Env, capacity int) *Resource {
 // Acquire blocks the process until a unit of capacity is available, then
 // claims it.
 func (r *Resource) Acquire(p *Proc) {
-	for r.inUse >= r.capacity {
-		r.queue.Wait(p)
+	for !r.AcquireOrArm(p) {
+		p.yield()
+	}
+}
+
+// AcquireOrArm claims a unit if one is free and reports true; otherwise it
+// joins the FIFO queue without parking and reports false, and a later
+// Release wakes the process to try again. It is Acquire's non-blocking
+// half, for step bodies.
+func (r *Resource) AcquireOrArm(p *Proc) bool {
+	if r.inUse >= r.capacity {
+		r.queue.Arm(p)
+		return false
 	}
 	r.inUse++
+	return true
 }
 
 // TryAcquire claims a unit if one is free, without blocking; it reports

@@ -41,5 +41,18 @@ func (s *Shard) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt is Spawn with a start delay.
 func (s *Shard) SpawnAt(delay Duration, name string, fn func(p *Proc)) *Proc {
-	return s.env.spawnAt(s, delay, name, fn)
+	return s.env.spawnAt(s, delay, &Proc{name: name, fn: fn})
+}
+
+// SpawnStep creates a stackless step process in this shard, starting at the
+// current virtual time. A step process has no coroutine: step runs as a
+// plain call at each of its wake-ups, the first being its start. It must
+// never block. Instead it arms its next wake-up with Proc.ArmTimer,
+// Signal.Arm or Resource.AcquireOrArm and returns true, or returns false
+// to end the process. Its wake-ups take the same (time, seq) slots the
+// equivalent blocking code would, so converting a coroutine body to a step
+// body leaves the event order unchanged, and a coroutine that parks runs a
+// step wake-up heading the queue inline instead of switching away.
+func (s *Shard) SpawnStep(name string, step func(p *Proc) bool) *Proc {
+	return s.env.spawnAt(s, 0, &Proc{name: name, step: step})
 }

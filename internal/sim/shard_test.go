@@ -181,3 +181,26 @@ func TestBlockedAcrossShards(t *testing.T) {
 		t.Fatalf("Live() after drain = %d, want 0", env.Live())
 	}
 }
+
+// Blocked's contract is "no pending wake-up": a process inside WaitTimeout
+// still has its deadline queued, even when that deadline lies beyond the
+// current RunUntil horizon, so it is not reported.
+func TestBlockedExcludesPendingTimeout(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	sig := NewSignal(env)
+	env.Spawn("wt", func(p *Proc) { sig.WaitTimeout(p, 5*Millisecond) })
+	env.Spawn("stuck", func(p *Proc) { sig.Wait(p) })
+
+	env.RunUntil(Time(0).Add(10 * Microsecond))
+	if got := env.Blocked(); len(got) != 1 || got[0] != "stuck" {
+		t.Fatalf("Blocked() within the deadline = %v, want [stuck]", got)
+	}
+	env.Run()
+	if got := env.Blocked(); len(got) != 1 || got[0] != "stuck" {
+		t.Fatalf("Blocked() after the deadline = %v, want [stuck]", got)
+	}
+	if env.Live() != 1 {
+		t.Fatalf("Live() = %d, want 1", env.Live())
+	}
+}

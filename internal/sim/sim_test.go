@@ -612,21 +612,40 @@ func TestProcessPanicSurfacesAtRun(t *testing.T) {
 
 // TestUnclosedEnvLeaksNoGoroutines: processes that run to completion give
 // their coroutines back, so an Env that is never closed leaves nothing
-// running once Run returns.
+// running once Run returns. The mid-run count proves coroGoroutines sees
+// the coroutines at all, so the final equality cannot pass vacuously.
 func TestUnclosedEnvLeaksNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := coroGoroutines()
 	env := NewEnv()
 	for i := 0; i < 1000; i++ {
 		env.SpawnAt(Duration(i%7)*Microsecond, "short", func(p *Proc) {
 			p.Sleep(Duration(i%13) * Microsecond)
 		})
 	}
+	env.RunUntil(Time(0).Add(5 * Microsecond))
+	if mid := coroGoroutines(); mid <= before {
+		t.Fatalf("coroutine goroutines: %d before, %d with processes asleep mid-run; the stack match is stale", before, mid)
+	}
 	env.Run()
 	if env.Live() != 0 {
 		t.Fatalf("Live() = %d after Run, want 0", env.Live())
 	}
-	if after := runtime.NumGoroutine(); after != before {
+	if after := coroGoroutines(); after != before {
 		t.Fatalf("goroutines: %d before, %d after Run without Close", before, after)
+	}
+}
+
+// coroGoroutines counts the goroutines running a sim coroutine. Counting
+// only those keeps the check immune to the test runner's own goroutines:
+// the previous test's runner can still be exiting when this one starts,
+// most often on a loaded host.
+func coroGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "sim.(*coro).run(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

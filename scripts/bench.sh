@@ -217,6 +217,10 @@ BEGIN {
 }
 /^Benchmark/ && /ns\/op/ {
     name = $1
+    # go test appends -<GOMAXPROCS> to the name when it is not 1. Strip it
+    # so recordings from hosts with different core counts share names and
+    # the gate compares them instead of reporting every row as dropped.
+    sub(/-[0-9]+$/, "", name)
     ns = ""; bytes = ""; allocs = ""
     for (i = 2; i <= NF; i++) {
         if ($i == "ns/op")     ns = $(i - 1)
