@@ -5,7 +5,7 @@ package cdi
 // determinism invariant (wall-clock reads, global rand, bare goroutines,
 // order-dependent map iteration, exact float comparison, dropped errors),
 // introduces a hot-path allocation pattern the hotpath rule can see, or
-// breaks shard ownership or the signal wait graph. The same suite is
+// breaks the signal wait graph. The same suite is
 // available interactively as `go run ./cmd/cdivet ./...`.
 //
 // The module is parsed and type-checked once per test binary; every zone of
@@ -60,9 +60,9 @@ var hotCore = []string{
 	"./internal/pool",
 }
 
-// shardPackages is every package the engine threads shard keys through,
-// plus the engine itself.
-var shardPackages = []string{
+// procPackages is every package that spawns sim processes or hands
+// Signals between them, plus the engine itself.
+var procPackages = []string{
 	"./internal/sim",
 	"./internal/gpu",
 	"./internal/mpi",
@@ -142,38 +142,30 @@ func TestDeterminismInvariants(t *testing.T) {
 	}
 }
 
-// The shard-threaded packages are held to zero findings for shard
-// ownership and for a fireable wake behind every wait.
-func TestShardSafetySelfCheck(t *testing.T) {
-	checkZone(t, zone{rules: "shardsafety", patterns: shardPackages})
-}
-
+// The process packages are held to zero findings for a fireable wake
+// behind every wait.
 func TestWaitGraphSelfCheck(t *testing.T) {
-	checkZone(t, zone{rules: "waitgraph", patterns: shardPackages})
+	checkZone(t, zone{rules: "waitgraph", patterns: procPackages})
 }
 
-// TestPoolSelfCheck holds the pool scheduler alone to the three analyzers
-// its design leans on: shardsafety (the single-writer mailbox discipline),
-// waitgraph (the wake signal is always fireable) and hotpath (the placement
-// path stays allocation-lean). The checks above cover it too; this one
-// exists so a pool-only regression fails with the package's name on it.
+// TestPoolSelfCheck holds the pool scheduler alone to the two analyzers
+// its design leans on: waitgraph (the mailbox wake signal is always
+// fireable) and hotpath (the placement path stays allocation-lean). The
+// checks above cover it too; this one exists so a pool-only regression
+// fails with the package's name on it.
 func TestPoolSelfCheck(t *testing.T) {
-	checkZone(t, zone{rules: "shardsafety,waitgraph,hotpath", patterns: []string{"./internal/pool"}})
+	checkZone(t, zone{rules: "waitgraph,hotpath", patterns: []string{"./internal/pool"}})
 }
 
-// TestSeededBugs proves the shard-era analyzers catch the failure classes
-// they exist for: both bugs are planted in one scratch copy of the module,
-// which is loaded once, and each rule must report its plant.
+// TestSeededBugs proves the waitgraph analyzer catches the failure class it
+// exists for: the bug is planted in a scratch copy of the module, which is
+// loaded once, and the rule must report the plant.
 func TestSeededBugs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("module copy + full typecheck; skipped in -short")
 	}
 	root := copyModuleForPlant(t)
 	engine := filepath.Join(root, "internal", "serve", "engine.go")
-	// Move the serving engine's arrivals proc off the engine shard onto the
-	// default domain: the cross-shard admission-queue write the shard
-	// threading deliberately avoids.
-	plant(t, engine, `shard.Spawn("serve-arrivals"`, `env.Spawn("serve-arrivals"`)
 	// Delete the fire half of the admission handshake: the batcher then
 	// waits on a Signal nothing ever fires, a deterministic deadlock.
 	plant(t, engine, "e.more.Fire()", "p.Yield()")
@@ -181,30 +173,18 @@ func TestSeededBugs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load planted module: %v", err)
 	}
-	for _, c := range []struct {
-		rule string
-		want [2]string // substrings of the planted finding's message
-	}{
-		{"shardsafety", [2]string{"serve.(Engine).queue", "default"}},
-		{"waitgraph", [2]string{"never fired", "more"}},
-	} {
-		t.Run(c.rule, func(t *testing.T) {
-			as, err := analysis.ByName(c.rule)
-			if err != nil {
-				t.Fatalf("resolve analyzer: %v", err)
+	t.Run("waitgraph", func(t *testing.T) {
+		findings, err := analysis.RunModule(m, analysis.Config{Analyzers: []*analysis.Analyzer{analysis.WaitGraph}})
+		if err != nil {
+			t.Fatalf("run planted module: %v", err)
+		}
+		for _, f := range findings {
+			if strings.Contains(f.Message, "never fired") && strings.Contains(f.Message, "more") {
+				return
 			}
-			findings, err := analysis.RunModule(m, analysis.Config{Analyzers: as})
-			if err != nil {
-				t.Fatalf("run planted module: %v", err)
-			}
-			for _, f := range findings {
-				if strings.Contains(f.Message, c.want[0]) && strings.Contains(f.Message, c.want[1]) {
-					return
-				}
-			}
-			t.Fatalf("planted bug not caught; findings: %v", findings)
-		})
-	}
+		}
+		t.Fatalf("planted bug not caught; findings: %v", findings)
+	})
 }
 
 // copyModuleForPlant clones the module's base sources (no tests, no

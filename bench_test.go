@@ -418,10 +418,10 @@ func BenchmarkLAMMPSHybridStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCdivetModule measures one full twelve-analyzer pass — per-file
+// BenchmarkCdivetModule measures one full eleven-analyzer pass — per-file
 // rules plus the module-wide dataflow layer (call graph, taint fixpoint,
-// wait-point propagation, hot-path allocation analysis, shard affinity and
-// the signal wait graph) — over the already-loaded module. Parsing and
+// wait-point propagation, hot-path allocation analysis and the signal wait
+// graph) — over the already-loaded module. Parsing and
 // type-checking run outside the timed loop, on the load the self-check
 // shares, as cdivet itself amortizes them across analyzers; -benchmem makes
 // allocation regressions in the dataflow engine visible.
@@ -628,10 +628,10 @@ func BenchmarkChurnSteadyState(b *testing.B) {
 }
 
 // BenchmarkSimEngineFanout is the pool-scale stress: 10k processes spread
-// over 16 shards, all parked on shared per-shard Signals, with a driver that
-// fires every signal once per simulated microsecond. One benchmark op is one
-// fan-out round — 10k signal wake-ups scheduled at the same instant and
-// delivered in (time, seq) order, plus 10k re-waits.
+// over 16 shared Signals, with a driver that fires every signal once per
+// simulated microsecond. One benchmark op is one fan-out round — 10k signal
+// wake-ups scheduled at the same instant and delivered in (time, seq)
+// order, plus 10k re-waits.
 //
 // The benchmark tears its environment down eagerly: Close unwinds the 10k
 // parked workers off the timed path and the forced GC releases their
@@ -641,20 +641,18 @@ func BenchmarkChurnSteadyState(b *testing.B) {
 // dead goroutines this benchmark left behind.
 func BenchmarkSimEngineFanout(b *testing.B) {
 	const (
-		nprocs  = 10000
-		nshards = 16
+		nprocs = 10000
+		nsigs  = 16
 	)
 	env := sim.NewEnv()
 	defer env.Close()
-	shards := make([]*sim.Shard, nshards)
-	sigs := make([]*sim.Signal, nshards)
-	for i := range shards {
-		shards[i] = env.NewShard()
+	sigs := make([]*sim.Signal, nsigs)
+	for i := range sigs {
 		sigs[i] = sim.NewSignal(env)
 	}
 	for i := 0; i < nprocs; i++ {
-		sig := sigs[i%nshards]
-		shards[i%nshards].Spawn("worker", func(p *sim.Proc) {
+		sig := sigs[i%nsigs]
+		env.Spawn("worker", func(p *sim.Proc) {
 			for {
 				sig.Wait(p)
 			}

@@ -9,7 +9,7 @@
 // no result-emitting path depends on Go map iteration order. Nothing in the
 // compiler enforces any of that — a single time.Now(), global rand.Intn, or
 // unsorted map range silently corrupts every regenerated artifact. The
-// twelve analyzers in this package turn those conventions into
+// eleven analyzers in this package turn those conventions into
 // build-breaking checks:
 //
 //	walltime    wall-clock time in simulated code
@@ -22,7 +22,6 @@
 //	simunits    unitless literals / float64 round-trips in sim.Duration math
 //	waitlock    sync.Mutex held across a simulated wait point
 //	hotpath     per-iteration allocation patterns in benchmark-reachable code
-//	shardsafety cross-shard write to shard-owned state without a wait edge
 //	waitgraph   sim.Signal deadlock / lost-wake / unbound-use patterns
 //
 // The first six are per-file syntactic/type checks. The rest run on a
@@ -32,9 +31,9 @@
 // while a map-order value laundered through a helper in another package is
 // still caught; hotpath works over the set of functions reachable from the
 // benchmark call graph and the configured steady-state roots; and
-// shardsafety and waitgraph reason over the shard-affinity context
-// (shardctx.go) the PR 7 sharded engine introduced — which proc runs on
-// which event domain, and how sim.Signal wait/fire edges order them.
+// waitgraph reasons over the process context (procctx.go) — which code
+// each spawned proc reaches, and how sim.Signal wait/fire edges order the
+// procs.
 //
 // Intentional exceptions are suppressed in source with a justified
 // directive on, or immediately above, the offending line:
@@ -168,7 +167,6 @@ func All() []*Analyzer {
 		SimUnits,
 		WaitLock,
 		Hotpath,
-		ShardSafety,
 		WaitGraph,
 	}
 }

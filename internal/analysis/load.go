@@ -44,11 +44,11 @@ type Module struct {
 	Fset     *token.FileSet
 	Packages []*Package // in deterministic (path) order
 
-	// cg and shardCtx memoize the module-wide structures the dataflow
-	// analyzers share, built on first use (callGraphFor, shardContextFor).
+	// cg and procCtx memoize the module-wide structures the dataflow
+	// analyzers share, built on first use (callGraphFor, procContextFor).
 	// Module analysis is sequential, so plain fields suffice.
-	cg       *callGraph
-	shardCtx *shardContext
+	cg      *callGraph
+	procCtx *procContext
 }
 
 // LoadModule parses and type-checks every package of the module containing

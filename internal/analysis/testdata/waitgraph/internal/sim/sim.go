@@ -1,4 +1,4 @@
-// Package sim is a corpus stand-in exposing the shard and signal surface
+// Package sim is a corpus stand-in exposing the spawn and signal surface
 // the waitgraph rule reasons about. The package itself is exempt — it
 // implements the machinery.
 package sim
@@ -12,32 +12,20 @@ type Env struct{}
 // NewEnv builds an environment.
 func NewEnv() *Env { return &Env{} }
 
-// NewShard opens a new event domain.
-func (e *Env) NewShard() *Shard { return &Shard{} }
-
-// Spawn starts fn on the default domain.
+// Spawn starts fn as a process.
 func (e *Env) Spawn(name string, fn func(p *Proc)) {}
 
-// SpawnAt starts fn on the default domain after delay.
+// SpawnAt starts fn as a process after delay.
 func (e *Env) SpawnAt(delay Duration, name string, fn func(p *Proc)) {}
 
-// Shard is a spawn-time domain key.
-type Shard struct{}
-
-// Spawn starts fn on the shard's domain.
-func (s *Shard) Spawn(name string, fn func(p *Proc)) {}
-
-// SpawnAt starts fn on the shard's domain after delay.
-func (s *Shard) SpawnAt(delay Duration, name string, fn func(p *Proc)) {}
-
-// SpawnStep starts a stackless step process on the shard's domain.
-func (s *Shard) SpawnStep(name string, step func(p *Proc) bool) {}
+// SpawnStep starts a stackless step process.
+func (e *Env) SpawnStep(name string, step func(p *Proc) bool) {}
 
 // Proc is a process handle.
-type Proc struct{}
+type Proc struct{ env *Env }
 
-// Shard returns the domain the process runs on.
-func (p *Proc) Shard() *Shard { return &Shard{} }
+// Env returns the environment the process runs in.
+func (p *Proc) Env() *Env { return p.env }
 
 // Sleep parks the process for d of virtual time.
 func (p *Proc) Sleep(d Duration) {}

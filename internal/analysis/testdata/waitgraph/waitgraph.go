@@ -42,7 +42,7 @@ func lostWake(env *sim.Env) {
 	torch := sim.NewSignal(env)
 	env.Spawn("igniter", func(p *sim.Proc) {
 		torch.Fire() // want
-		p.Shard().Spawn("late", func(cp *sim.Proc) {
+		p.Env().Spawn("late", func(cp *sim.Proc) {
 			torch.Wait(cp)
 		})
 	})
@@ -139,7 +139,7 @@ func suppressed(env *sim.Env) {
 // counts as the waiter, so the fire is not a lost wake. Clean.
 func armed(env *sim.Env) {
 	kick := sim.NewSignal(env)
-	env.NewShard().SpawnStep("stepper", func(p *sim.Proc) bool {
+	env.SpawnStep("stepper", func(p *sim.Proc) bool {
 		kick.Arm(p)
 		return true
 	})
@@ -152,7 +152,7 @@ func armed(env *sim.Env) {
 // forever.
 func armedNeverFired(env *sim.Env) {
 	stall := sim.NewSignal(env)
-	env.NewShard().SpawnStep("stalled", func(p *sim.Proc) bool {
+	env.SpawnStep("stalled", func(p *sim.Proc) bool {
 		stall.Arm(p) // want
 		return true
 	})

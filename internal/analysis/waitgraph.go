@@ -9,8 +9,8 @@ import (
 )
 
 // WaitGraph builds the static wait/fire graph over sim.Signal and reports
-// the Signal misuse patterns that the sharded engine turns into
-// deterministic hangs or silently lost events:
+// the Signal misuse patterns that the deterministic engine turns into
+// reproducible hangs or silently lost events:
 //
 //   - a Signal that is waited on but never fired anywhere in the module:
 //     every waiter parks forever, and because the engine is deterministic
@@ -44,7 +44,7 @@ var WaitGraph = &Analyzer{
 
 // sigSite is one Signal method call attributed to a region.
 type sigSite struct {
-	region  *shardRegion
+	region  *procRegion
 	pos     token.Pos
 	method  string // Bind, Wait, WaitTimeout, Arm, Fire, FireOne
 	guarded bool   // inside a for/range loop in its region
@@ -75,8 +75,7 @@ func (c *signalClass) count(methods ...string) int {
 }
 
 func runWaitGraph(mp *ModulePass) {
-	sc := shardContextFor(mp.Module)
-	w := &waitGraph{sc: sc, classes: map[*types.Var]*signalClass{}, consumed: map[token.Pos]bool{}}
+	w := &waitGraph{pc: procContextFor(mp.Module), classes: map[*types.Var]*signalClass{}, consumed: map[token.Pos]bool{}}
 	w.collectParams()
 	w.collectSites()
 	w.collectCreations()
@@ -91,7 +90,7 @@ func runWaitGraph(mp *ModulePass) {
 }
 
 type waitGraph struct {
-	sc       *shardContext
+	pc       *procContext
 	classes  map[*types.Var]*signalClass
 	order    []*signalClass
 	params   map[types.Object]bool
@@ -117,7 +116,7 @@ func (w *waitGraph) collectParams() {
 			}
 		}
 	}
-	for _, r := range w.sc.regions {
+	for _, r := range w.pc.regions {
 		if r.node != nil {
 			record(r.pkg.Info, r.node.decl.Type, r.node.decl.Recv)
 		} else {
@@ -128,7 +127,7 @@ func (w *waitGraph) collectParams() {
 
 // collectSites attributes every Signal method call to its region and class.
 func (w *waitGraph) collectSites() {
-	for _, r := range w.sc.regions {
+	for _, r := range w.pc.regions {
 		if r.inSimPackage() {
 			continue
 		}
@@ -166,7 +165,7 @@ func (w *waitGraph) collectSites() {
 }
 
 // classOf returns (creating on first use) the class of Signal variable v.
-func (w *waitGraph) classOf(r *shardRegion, info *types.Info, recv ast.Expr, v *types.Var) *signalClass {
+func (w *waitGraph) classOf(r *procRegion, info *types.Info, recv ast.Expr, v *types.Var) *signalClass {
 	if c := w.classes[v]; c != nil {
 		return c
 	}
@@ -183,7 +182,7 @@ func (w *waitGraph) classOf(r *shardRegion, info *types.Info, recv ast.Expr, v *
 
 // describeSignalVar renders a class for messages using the shape of its
 // first use site.
-func describeSignalVar(r *shardRegion, info *types.Info, recv ast.Expr, v *types.Var) string {
+func describeSignalVar(r *procRegion, info *types.Info, recv ast.Expr, v *types.Var) string {
 	pkg := ""
 	if v.Pkg() != nil {
 		pkg = v.Pkg().Name()
@@ -256,7 +255,7 @@ func signalVarOf(info *types.Info, e ast.Expr) (*types.Var, token.Pos) {
 // for value-type Signals, Bind calls, and marks those identifier uses
 // consumed so they don't read as aliases.
 func (w *waitGraph) collectCreations() {
-	for _, p := range w.sc.module.Packages {
+	for _, p := range w.pc.module.Packages {
 		if p.Info == nil {
 			continue
 		}
@@ -335,7 +334,7 @@ func (w *waitGraph) markAliases() {
 	for v, c := range w.classes {
 		byObj[v] = c
 	}
-	for _, p := range w.sc.module.Packages {
+	for _, p := range w.pc.module.Packages {
 		if p.Info == nil {
 			continue
 		}
@@ -414,7 +413,7 @@ func (c *signalClass) firstUse(methods ...string) token.Pos {
 // class: the wake lands before the waiter exists.
 func (w *waitGraph) checkLostWakeOrdering(mp *ModulePass, classes []*signalClass) {
 	// Unguarded plain waits by spawnee region.
-	regionWaits := map[*shardRegion][]*signalClass{}
+	regionWaits := map[*procRegion][]*signalClass{}
 	for _, c := range classes {
 		for _, s := range c.sites {
 			if s.method == "Wait" && !s.guarded {
@@ -427,7 +426,7 @@ func (w *waitGraph) checkLostWakeOrdering(mp *ModulePass, classes []*signalClass
 			if s.method != "Fire" && s.method != "FireOne" {
 				continue
 			}
-			for _, sp := range w.sc.spawns {
+			for _, sp := range w.pc.spawns {
 				if sp.region != s.region || sp.spawnee == nil || sp.call.Pos() < s.pos {
 					continue
 				}
@@ -446,8 +445,8 @@ func (w *waitGraph) checkLostWakeOrdering(mp *ModulePass, classes []*signalClass
 // everything statically reachable from it on the same proc (callees and
 // non-spawned nested literals).
 type waitCtx struct {
-	root    *shardRegion
-	reach   map[*shardRegion]bool
+	root    *procRegion
+	reach   map[*procRegion]bool
 	waits   map[*signalClass]bool // unguarded plain Wait
 	fires   map[*signalClass]bool
 	waitPos map[*signalClass]token.Pos
@@ -456,9 +455,9 @@ type waitCtx struct {
 // checkWaitCycles finds timeout-free wait cycles among spawned procs.
 func (w *waitGraph) checkWaitCycles(mp *ModulePass, classes []*signalClass) {
 	// One context per distinct spawnee region.
-	seen := map[*shardRegion]bool{}
+	seen := map[*procRegion]bool{}
 	var ctxs []*waitCtx
-	for _, sp := range w.sc.spawns {
+	for _, sp := range w.pc.spawns {
 		if sp.spawnee == nil || seen[sp.spawnee] || sp.spawnee.inSimPackage() {
 			continue
 		}
@@ -472,7 +471,7 @@ func (w *waitGraph) checkWaitCycles(mp *ModulePass, classes []*signalClass) {
 	// Edges: waiter -> every context that can fire the class. A class whose
 	// fire sites are not all inside spawned contexts contributes no edge —
 	// an unmodeled firer could break the would-be cycle.
-	inCtx := map[*shardRegion]*waitCtx{}
+	inCtx := map[*procRegion]*waitCtx{}
 	for _, c := range ctxs {
 		for r := range c.reach {
 			if inCtx[r] == nil {
@@ -555,20 +554,20 @@ func (w *waitGraph) checkWaitCycles(mp *ModulePass, classes []*signalClass) {
 }
 
 // buildCtx computes a context's reachable regions and its wait/fire sets.
-func (w *waitGraph) buildCtx(root *shardRegion, classes []*signalClass) *waitCtx {
+func (w *waitGraph) buildCtx(root *procRegion, classes []*signalClass) *waitCtx {
 	ctx := &waitCtx{
 		root:    root,
-		reach:   map[*shardRegion]bool{},
+		reach:   map[*procRegion]bool{},
 		waits:   map[*signalClass]bool{},
 		fires:   map[*signalClass]bool{},
 		waitPos: map[*signalClass]token.Pos{},
 	}
-	stack := []*shardRegion{root}
+	stack := []*procRegion{root}
 	ctx.reach[root] = true
 	for len(stack) > 0 {
 		r := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, next := range append(append([]*shardRegion{}, r.callees...), r.children...) {
+		for _, next := range append(append([]*procRegion{}, r.callees...), r.children...) {
 			if !ctx.reach[next] {
 				ctx.reach[next] = true
 				stack = append(stack, next)

@@ -271,8 +271,7 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 		space := sim.NewSignal(p.Env())
 		queued := 0
 		totalBatches := cfg.Epochs * (steps + valSteps)
-		// The loader serves exactly this rank, so it shares the rank's shard.
-		p.Shard().Spawn(fmt.Sprintf("loader%d", r.Rank()), func(lp *sim.Proc) {
+		p.Env().Spawn(fmt.Sprintf("loader%d", r.Rank()), func(lp *sim.Proc) {
 			for b := 0; b < totalBatches; b++ {
 				lp.Sleep(loadTime)
 				for queued >= depth {

@@ -69,17 +69,13 @@ type Transition struct {
 	At       sim.Time
 }
 
-// Registry tracks the control plane's view of every server. The states
-// and the transition log belong to the health shard; the degraded count
-// is a plain published scalar the serving admission gate reads from its
-// own shard — a read-only cross-domain observation, deliberately left
-// outside the shard annotation (the engine only samples it, and the
-// global event order makes the sample deterministic).
+// Registry tracks the control plane's view of every server. Only the
+// health processes write the states and the transition log; the degraded
+// count is a plain published scalar the serving admission gate samples
+// read-only, and the global event order makes the sample deterministic.
 type Registry struct {
-	//cdivet:shard(health.plane)
 	states []State
-	//cdivet:shard(health.plane)
-	log []Transition
+	log    []Transition
 
 	degraded int // servers not currently Healthy
 }
@@ -257,7 +253,7 @@ func (s Stats) MeanDetection() sim.Duration {
 }
 
 // Controller runs the control plane: one heartbeat process per server
-// plus one evaluator, all on a dedicated shard. Heartbeats consult the
+// plus one evaluator. Heartbeats consult the
 // fault injector read-only (link state, server state) and draw loss and
 // jitter from health-owned substreams; the evaluator walks the registry
 // state machine and calls Drain/Readmit on the pool.
@@ -267,23 +263,20 @@ type Controller struct {
 	cfg  Config
 	reg  *Registry
 
-	//cdivet:shard(health.plane)
-	det []*Detector
-	//cdivet:shard(health.plane)
-	clean []int // consecutive clean evaluator ticks per Recovered server
-	//cdivet:shard(health.plane)
+	det         []*Detector
+	clean       []int      // consecutive clean evaluator ticks per Recovered server
 	suspectedAt []sim.Time // when the current suspicion episode began
-	//cdivet:shard(health.plane)
-	stats Stats
+	stats       Stats
 
 	start sim.Time
 }
 
 // Start launches the control plane against pool, reading fault state
 // from inj (which may be nil for a fault-free pool). Monitoring stops at
-// cfg.Horizon. The controller's processes live on their own shard, so a
-// run in which they never act is event-for-event identical, from the
-// workload's point of view, to a run without them.
+// cfg.Horizon. The engine's (time, seq) order keeps the workload's own
+// events in the same relative order, so a run in which the controller's
+// processes never act is event-for-event identical, from the workload's
+// point of view, to a run without them.
 func Start(env *sim.Env, pool Pool, inj *faults.Injector, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults(inj)
 	if err := cfg.validate(); err != nil {
@@ -306,11 +299,10 @@ func Start(env *sim.Env, pool Pool, inj *faults.Injector, cfg Config) (*Controll
 	for i := range c.det {
 		c.det[i] = NewDetector(cfg.Window, cfg.Interval)
 	}
-	shard := env.NewShard() //cdivet:shard(health.plane)
 	for i := 0; i < n; i++ {
-		shard.Spawn("health-beat-"+strconv.Itoa(i), func(p *sim.Proc) { c.heartbeat(p, i) })
+		env.Spawn("health-beat-"+strconv.Itoa(i), func(p *sim.Proc) { c.heartbeat(p, i) })
 	}
-	shard.Spawn("health-eval", c.evaluate)
+	env.Spawn("health-eval", c.evaluate)
 	return c, nil
 }
 

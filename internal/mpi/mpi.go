@@ -62,35 +62,22 @@ type message struct {
 	payload  any
 }
 
-// World is a communicator: a fixed set of ranks over one environment.
-//
-// The shard annotations use one domain name for every rank: affinity is
-// tracked at the domain-name level, so rank-to-rank traffic (a send into
-// another rank's inbox) is in-domain by construction — the invariant the
-// annotations encode is "only rank procs touch communicator state", not
-// "only rank i touches rank i's inbox".
+// World is a communicator: a fixed set of ranks over one environment. Only
+// rank processes touch communicator state; a send writes into another
+// rank's inbox and fires that rank's avail signal.
 type World struct {
 	env  *sim.Env
 	size int
 	cost CostModel
 	// inbox holds in-flight messages per destination rank.
-	//cdivet:shard(mpi.rank)
 	inbox [][]*message
 	avail []*sim.Signal
-	// shards is the binder: one event domain per rank.
-	//cdivet:shard(mpi.rank)
-	shards []*sim.Shard
 
-	//cdivet:shard(mpi.rank)
-	collSeq []int
-	//cdivet:shard(mpi.rank)
-	colls map[int]*collective
-	//cdivet:shard(mpi.rank)
+	collSeq  []int
+	colls    map[int]*collective
 	bytesP2P int64
-	//cdivet:shard(mpi.rank)
-	msgsP2P int64
+	msgsP2P  int64
 
-	//cdivet:shard(mpi.rank)
 	// free recycles delivered messages: halo exchanges send several
 	// messages per rank step, and each would otherwise be an allocation.
 	free []*message
@@ -118,15 +105,11 @@ func NewWorld(env *sim.Env, size int, cost CostModel) *World {
 		cost:    cost,
 		inbox:   make([][]*message, size),
 		avail:   make([]*sim.Signal, size),
-		shards:  make([]*sim.Shard, size),
 		collSeq: make([]int, size),
 		colls:   make(map[int]*collective),
 	}
 	for i := range w.avail {
 		w.avail[i] = sim.NewSignal(env)
-		// One event domain per rank: each rank's compute sleeps and message
-		// waits live in their own queue, mirroring the per-node hardware.
-		w.shards[i] = env.NewShard()
 	}
 	return w
 }
@@ -156,7 +139,7 @@ func (w *World) Spawn(rank int, fn func(r *Rank)) {
 	if rank < 0 || rank >= w.size {
 		panic(fmt.Sprintf("mpi: rank %d out of world size %d", rank, w.size))
 	}
-	w.shards[rank].Spawn("rank"+strconv.Itoa(rank), func(p *sim.Proc) {
+	w.env.Spawn("rank"+strconv.Itoa(rank), func(p *sim.Proc) {
 		fn(&Rank{w: w, rank: rank, p: p})
 	})
 }

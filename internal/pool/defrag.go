@@ -140,8 +140,8 @@ func (s *Scheduler) planSweep(v int) ([]move, bool) {
 // executeMove commits one migration: the capacity swap is atomic at copy
 // start (pre-copy live migration — the source keeps running until the
 // replay lands, so goodput sees no gap), the handle-table bytes are
-// charged at the crossed tier, and the copy process on the target's rack
-// shard reports back when the replay completes.
+// charged at the crossed tier, and a copy process reports back when the
+// replay completes.
 func (s *Scheduler) executeMove(now sim.Time, mv move) {
 	a := &s.allocs[mv.id]
 	j := s.jobs[mv.id]
@@ -157,7 +157,7 @@ func (s *Scheduler) executeMove(now sim.Time, mv move) {
 	s.stats.MigrationBytes += int64(j.Gang) * j.Shape.BytesPerGPU()
 	s.sweepOutstanding++
 	id := mv.id
-	s.racks[s.topo.RackOf(mv.to)].SpawnAt(cost, "pool-migrate", func(mp *sim.Proc) {
+	s.env.SpawnAt(cost, "pool-migrate", func(mp *sim.Proc) {
 		s.post(msgMigrated, id)
 	})
 }

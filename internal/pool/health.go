@@ -2,11 +2,10 @@ package pool
 
 import "repro/internal/sim"
 
-// health.Pool implementation. The heartbeat control plane runs on its
-// own shard; its verdicts cross into the scheduler's domain through the
-// mailbox, exactly like job completions and migration copies, so a dead
-// server's allocations re-place through the same machinery a defrag
-// sweep uses.
+// health.Pool implementation. The heartbeat control plane's verdicts
+// reach the scheduler through the mailbox, exactly like job completions
+// and migration copies, so a dead server's allocations re-place through
+// the same machinery a defrag sweep uses.
 
 // Servers returns the pool's server count.
 func (s *Scheduler) Servers() int { return s.topo.Servers() }
@@ -15,9 +14,8 @@ func (s *Scheduler) Servers() int { return s.topo.Servers() }
 // active primary, so the detector anchors on server 0.
 func (s *Scheduler) ActiveServer() int { return 0 }
 
-// Live reports whether a server is in rotation. It samples the published
-// rotation view from the health plane's domain; the scheduler is the
-// only writer.
+// Live reports whether a server is in rotation. The health plane samples
+// the published rotation view; the scheduler is the only writer.
 func (s *Scheduler) Live(i int) bool {
 	return i >= 0 && i < len(s.live) && s.live[i]
 }

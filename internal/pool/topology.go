@@ -1,12 +1,12 @@
 // Package pool is a datacenter-scale GPU pool scheduler over the compose/
-// fabric model: a topology of rows × racks × servers × GPUs (each rack on
-// its own sim shard), batch gang allocations and serving tenants placed
-// under pluggable policies, explicit fragmentation and stranded-capacity
-// accounting, and a defragmenter that consolidates allocations by live
-// migration over the remoting DMA-replay cost model. The paper stops at
-// row scale; this package asks the question production pools face next —
-// placement, fragmentation, and reclamation under job churn (DxPU's pool-
-// manager regime, ROADMAP item 1).
+// fabric model: a topology of rows × racks × servers × GPUs, batch gang
+// allocations and serving tenants placed under pluggable policies,
+// explicit fragmentation and stranded-capacity accounting, and a
+// defragmenter that consolidates allocations by live migration over the
+// remoting DMA-replay cost model. The paper stops at row scale; this
+// package asks the question production pools face next — placement,
+// fragmentation, and reclamation under job churn (DxPU's pool-manager
+// regime, ROADMAP item 1).
 package pool
 
 import (

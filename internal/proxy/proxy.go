@@ -227,10 +227,7 @@ func Run(cfg Config) (Result, error) {
 	runErrs := make([]error, 0, cfg.Threads)
 	for t := 0; t < cfg.Threads; t++ {
 		offset := sim.Duration(t) * cfg.ThreadOffset
-		// One shard per OpenMP thread: each thread's sleep/wake traffic
-		// stays in its own queue instead of all threads contending on one.
-		//cdivet:shard(proxy.omp)
-		env.NewShard().SpawnAt(offset, "omp"+strconv.Itoa(t), func(p *sim.Proc) {
+		env.SpawnAt(offset, "omp"+strconv.Itoa(t), func(p *sim.Proc) {
 			if err := threadLoop(p, ctx, kernel, matBytes, res.Iters, cfg.IterSpacing); err != nil {
 				runErrs = append(runErrs, err)
 			}

@@ -120,19 +120,15 @@ type Engine struct {
 	cfg   Config
 	total int
 
-	// The admission queue and completion count live on the engine's own
-	// event domain: only the arrivals and batcher procs touch them.
-	//cdivet:shard(serve.engine)
+	// Only the arrivals and batcher procs touch the admission queue and
+	// completion count.
 	queue []*pending
 	// qhead: queue[:qhead] is served; the array is reused once drained.
-	//cdivet:shard(serve.engine)
 	qhead int
 	// depth counts live (unserved, unshed) queued requests; backpressure
 	// marks victims shed in place and pop discards them lazily.
-	//cdivet:shard(serve.engine)
-	depth int
-	more  *sim.Signal
-	//cdivet:shard(serve.engine)
+	depth     int
+	more      *sim.Signal
 	completed int
 
 	// ks and batchBuf are per-step scratch reused across iterations, and
@@ -179,11 +175,8 @@ func Start(env *sim.Env, tr Transport, cfg Config, reqs []Request) (*Engine, err
 	if cfg.Admission.enabled() {
 		e.m.ShedByTenant = make([]int, len(cfg.Tenants))
 	}
-	// The engine is one event domain: the arrival clock and the batcher
-	// share a shard, separate from the device shards the transport uses.
-	shard := env.NewShard() //cdivet:shard(serve.engine)
-	shard.Spawn("serve-arrivals", func(p *sim.Proc) { e.arrivals(p, reqs) })
-	shard.Spawn("serve-batcher", e.batcher)
+	env.Spawn("serve-arrivals", func(p *sim.Proc) { e.arrivals(p, reqs) })
+	env.Spawn("serve-batcher", e.batcher)
 	return e, nil
 }
 

@@ -98,8 +98,7 @@ func (h *eventHeap) popMin() *event {
 // # Scheduling core
 //
 // Pending events live in one heap ordered by (time, seq), where seq is a
-// global schedule counter, so the order is total and never consults a
-// process's shard. A process body runs as a coroutine, or, for a stackless
+// global schedule counter, so the order is total. A process body runs as a coroutine, or, for a stackless
 // step process (SpawnStep), as a plain function called once per wake-up.
 // RunUntil is the one loop that transfers control: it pops the next event
 // and resumes its coroutine, or calls its step body, which runs until it
@@ -107,11 +106,9 @@ func (h *eventHeap) popMin() *event {
 // the heap inline, and continues inline without switching at all when its
 // own wake-up comes next.
 type Env struct {
-	now     Time
-	seq     uint64
-	q       eventHeap // pending events, cancelled ones included
-	nshards int
-	shard0  Shard // default domain, embedded to keep NewEnv to one allocation
+	now Time
+	seq uint64
+	q   eventHeap // pending events, cancelled ones included
 
 	horizon Time    // current run's clock bound (+Inf outside RunUntil)
 	nprocs  int     // live (spawned, not finished) processes
@@ -132,18 +129,11 @@ type Env struct {
 	// left both the queue and its process's waits list.
 	free []*event
 	slab []event
-
-	// shardSlab batch-allocates Shard structs in 8-shard chunks: topologies
-	// mint shards in groups (one per rank, per host, per OpenMP thread), and
-	// sweeps pay that setup once per point, so it shows up in allocs/op.
-	shardSlab []Shard
 }
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
 	e := &Env{}
-	e.shard0.env = e
-	e.nshards = 1
 	e.horizon = Time(math.Inf(1))
 	return e
 }
@@ -271,31 +261,42 @@ func (e *Env) unpark(p *Proc) {
 	p.sigParked = false
 }
 
-// Spawn creates a process in the default shard running fn and schedules it
-// to start at the current virtual time. fn receives the process handle,
-// through which all blocking primitives are reached. Spawn may be called
-// before Run or from inside a running process. Processes modelling distinct
-// hardware domains should be spawned through per-domain shards (NewShard)
-// instead, which records which domain owns each process.
+// Spawn creates a process running fn and schedules it to start at the
+// current virtual time. fn receives the process handle, through which all
+// blocking primitives are reached. Spawn may be called before Run or from
+// inside a running process.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.spawnAt(&e.shard0, 0, &Proc{name: name, fn: fn})
+	return e.spawnAt(0, &Proc{name: name, fn: fn})
 }
 
 // SpawnAt is Spawn with a start delay.
 func (e *Env) SpawnAt(delay Duration, name string, fn func(p *Proc)) *Proc {
-	return e.spawnAt(&e.shard0, delay, &Proc{name: name, fn: fn})
+	return e.spawnAt(delay, &Proc{name: name, fn: fn})
 }
 
-// spawnAt binds p, whose name and body are set, to the shard and schedules
-// its start delay from now.
-func (e *Env) spawnAt(s *Shard, delay Duration, p *Proc) *Proc {
+// SpawnStep creates a stackless step process, starting at the current
+// virtual time. A step process has no coroutine: step runs as a plain call
+// at each of its wake-ups, the first being its start. It must never block.
+// Instead it arms its next wake-up with Proc.ArmTimer, Signal.Arm or
+// Resource.AcquireOrArm and returns true, or returns false to end the
+// process. Its wake-ups take the same (time, seq) slots the equivalent
+// blocking code would, so converting a coroutine body to a step body
+// leaves the event order unchanged, and a coroutine that parks runs a step
+// wake-up heading the queue inline instead of switching away.
+func (e *Env) SpawnStep(name string, step func(p *Proc) bool) *Proc {
+	return e.spawnAt(0, &Proc{name: name, step: step})
+}
+
+// spawnAt binds p, whose name and body are set, to the environment and
+// schedules its start delay from now.
+func (e *Env) spawnAt(delay Duration, p *Proc) *Proc {
 	if e.closed {
 		panic("sim: Spawn on closed Env")
 	}
 	if delay < 0 {
 		panic("sim: negative spawn delay")
 	}
-	p.env, p.shard = e, s
+	p.env = e
 	p.waits = p.waitsBuf[:0]
 	e.nprocs++
 	e.schedule(e.now.Add(delay), p, wakeStart)
@@ -377,6 +378,6 @@ func (e *Env) Close() {
 
 // String summarizes the environment state for debugging.
 func (e *Env) String() string {
-	return fmt.Sprintf("sim.Env{now: %v, queued: %d, live: %d, blocked: %d, shards: %d}",
-		e.now, len(e.q), e.nprocs, len(e.parked), e.nshards)
+	return fmt.Sprintf("sim.Env{now: %v, queued: %d, live: %d, blocked: %d}",
+		e.now, len(e.q), e.nprocs, len(e.parked))
 }

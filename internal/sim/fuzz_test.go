@@ -5,12 +5,13 @@ import (
 	"testing"
 )
 
-// Shards are spawn-time ownership keys only: the engine keeps every pending
-// event in one (time, seq) heap, and the shard a process lives on must never
-// affect delivery order. The unit tests pin that for hand-picked
-// tie-breaks; the fuzzer searches for programs where it is not true, by
-// running a random little concurrent program once on 1 shard and once on a
-// fuzzed topology and demanding byte-identical execution logs.
+// Cutting a run into RunUntil segments must never change delivery order:
+// tests and the pool's audits stop the engine every simulated millisecond,
+// and each segment end clamps the clock to the horizon and stops idle
+// coroutines. The unit tests pin that for hand-picked horizons; the fuzzer
+// searches for programs where it is not true, by running a random little
+// concurrent program once under a single Run and once in fuzzed-length
+// segments and demanding byte-identical execution logs.
 
 // progOp is one instruction of a fuzzed proc: sleep, yield, fire, wait, or
 // wait-with-timeout over a small set of shared signals.
@@ -19,10 +20,10 @@ type progOp struct {
 	arg  int
 }
 
-// decodeProgram turns fuzz bytes into a shard count and up to 16 procs of
-// up to 8 ops each. Decoding never fails: short input just means a short
-// program.
-func decodeProgram(data []byte) (shards int, procs [][]progOp) {
+// decodeProgram turns fuzz bytes into a RunUntil segment length, between
+// ¼ µs and 16 µs, and up to 16 procs of up to 8 ops each. Decoding never
+// fails: short input just means a short program.
+func decodeProgram(data []byte) (segment Duration, procs [][]progOp) {
 	next := func() (int, bool) {
 		if len(data) == 0 {
 			return 0, false
@@ -32,7 +33,7 @@ func decodeProgram(data []byte) (shards int, procs [][]progOp) {
 		return b, true
 	}
 	b, _ := next()
-	shards = 1 + b%8
+	segment = Duration(1+b%64) * Microsecond / 4
 	b, _ = next()
 	nprocs := 1 + b%16
 	for i := 0; i < nprocs; i++ {
@@ -51,7 +52,7 @@ func decodeProgram(data []byte) (shards int, procs [][]progOp) {
 		}
 		procs = append(procs, ops)
 	}
-	return shards, procs
+	return segment, procs
 }
 
 // progEvent records one completed op: which proc, which op, and the
@@ -61,20 +62,17 @@ type progEvent struct {
 	at       Time
 }
 
-// runProgram executes the program with proc i pinned to shard i%shards
-// (shard 0 being the default domain) and returns the completion log. Procs
-// parked forever on a never-fired signal simply never log their wait — the
-// same on every topology.
-func runProgram(shards int, procs [][]progOp) []progEvent {
+// runProgram executes the program and returns the completion log. A zero
+// segment runs it with one Run; otherwise RunUntil advances the horizon one
+// segment at a time until every live process is blocked. Procs parked
+// forever on a never-fired signal simply never log their wait — the same
+// either way.
+func runProgram(segment Duration, procs [][]progOp) []progEvent {
 	env := NewEnv()
 	defer env.Close()
 	var sigs [4]*Signal
 	for i := range sigs {
 		sigs[i] = NewSignal(env)
-	}
-	domains := make([]*Shard, shards-1)
-	for i := range domains {
-		domains[i] = env.NewShard()
 	}
 	var log []progEvent
 	for pi, ops := range procs {
@@ -96,35 +94,36 @@ func runProgram(shards int, procs [][]progOp) []progEvent {
 				log = append(log, progEvent{proc: pi, op: oi, at: p.Now()})
 			}
 		}
-		name := fmt.Sprintf("p%d", pi)
-		if d := pi % shards; d == 0 {
-			env.Spawn(name, body)
-		} else {
-			domains[d-1].Spawn(name, body)
-		}
+		env.Spawn(fmt.Sprintf("p%d", pi), body)
 	}
-	env.Run()
+	if segment == 0 {
+		env.Run()
+		return log
+	}
+	for k := 1; env.Live() != len(env.Blocked()); k++ {
+		env.RunUntil(Time(0).Add(Duration(k) * segment))
+	}
 	return log
 }
 
-func FuzzShardedMergeOrder(f *testing.F) {
+func FuzzSegmentedRun(f *testing.F) {
 	// Seeds: a sleeper/firer mix, a wait-heavy program, a same-instant
-	// pileup, and a topology wider than the proc count.
+	// pileup, and a long segment over short timeouts.
 	f.Add([]byte{3, 7, 4, 0, 12, 10, 17, 3, 5, 22, 9, 8, 15, 4, 2, 60, 61, 62})
 	f.Add([]byte{7, 15, 8, 3, 3, 3, 3, 2, 2, 2, 2})
 	f.Add([]byte{1, 4, 2, 0, 0, 2, 0, 0})
 	f.Add([]byte{255, 1, 8, 4, 19, 24, 4, 19, 24})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		shards, procs := decodeProgram(data)
-		got := runProgram(shards, procs)
-		want := runProgram(1, procs)
+		segment, procs := decodeProgram(data)
+		got := runProgram(segment, procs)
+		want := runProgram(0, procs)
 		if len(got) != len(want) {
-			t.Fatalf("%d shards completed %d ops, 1 shard completed %d", shards, len(got), len(want))
+			t.Fatalf("%v segments completed %d ops, one Run completed %d", segment, len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("delivery order diverges at step %d: %d shards ran proc %d op %d at %v, 1 shard ran proc %d op %d at %v",
-					i, shards, got[i].proc, got[i].op, got[i].at, want[i].proc, want[i].op, want[i].at)
+				t.Fatalf("delivery order diverges at step %d: %v segments ran proc %d op %d at %v, one Run ran proc %d op %d at %v",
+					i, segment, got[i].proc, got[i].op, got[i].at, want[i].proc, want[i].op, want[i].at)
 			}
 		}
 	})

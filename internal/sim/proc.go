@@ -12,13 +12,12 @@ var ErrTimeout = errors.New("sim: wait timed out")
 
 // Proc is the handle a simulated process uses to interact with virtual
 // time. A Proc is only valid inside the function passed to Env.Spawn (or
-// the step body passed to Shard.SpawnStep) and must not be shared between
+// the step body passed to Env.SpawnStep) and must not be shared between
 // process functions.
 type Proc struct {
-	env   *Env
-	shard *Shard // ownership domain the process was spawned into
-	name  string
-	fn    func(p *Proc)
+	env  *Env
+	name string
+	fn   func(p *Proc)
 	// step is the body of a stackless step process (SpawnStep); nil for a
 	// coroutine process, whose body is fn.
 	step func(p *Proc) bool
@@ -43,9 +42,6 @@ func (p *Proc) Name() string { return p.name }
 
 // Env returns the environment that owns this process.
 func (p *Proc) Env() *Env { return p.env }
-
-// Shard returns the event domain the process was spawned into.
-func (p *Proc) Shard() *Shard { return p.shard }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }

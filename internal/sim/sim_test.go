@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -441,6 +442,132 @@ func TestCloseUnwindsTimerParkedProcesses(t *testing.T) {
 	env.Close()
 	if env.Live() != 0 {
 		t.Fatalf("Live() = %d after Close, want 0", env.Live())
+	}
+}
+
+// Close must unwind processes whose wake-ups are still pending — a
+// near-term sleep, a sleep milliseconds out, and a start that was never
+// delivered — without running any more model code.
+func TestCloseUnwindsPendingWakeups(t *testing.T) {
+	env := NewEnv()
+	finished := 0
+	env.Spawn("near", func(p *Proc) {
+		p.Sleep(50 * Microsecond)
+		finished++
+	})
+	env.Spawn("far", func(p *Proc) {
+		p.Sleep(5 * Millisecond)
+		finished++
+	})
+	// A start event, never delivered.
+	env.SpawnAt(10*Millisecond, "unstarted", func(p *Proc) { finished++ })
+	env.RunUntil(Time(0).Add(10 * Microsecond))
+	if got := env.Live(); got != 3 {
+		t.Fatalf("Live() = %d before Close, want 3 (two sleepers, one undelivered start)", got)
+	}
+	env.Close()
+	if got := env.Live(); got != 0 {
+		t.Errorf("Live() = %d after Close, want 0", got)
+	}
+	if finished != 0 {
+		t.Errorf("%d aborted process bodies ran past their sleep", finished)
+	}
+}
+
+// A horizon falling between two events 600ns apart must deliver the
+// earlier one, clamp the clock exactly to the horizon, and leave the later
+// one for the next run — including at a day-scale base time, where float64
+// seconds keep far less sub-microsecond resolution than near zero.
+func TestRunUntilHorizonBetweenCloseEvents(t *testing.T) {
+	for _, base := range []Duration{0, 86400 * Second} {
+		t.Run(fmt.Sprintf("base=%gs", float64(base)), func(t *testing.T) {
+			env := NewEnv()
+			defer env.Close()
+			start := Time(0).Add(base)
+			var wokeEarly, wokeLate Time
+			env.SpawnAt(base, "early", func(p *Proc) {
+				p.Sleep(200 * Nanosecond)
+				wokeEarly = p.Now()
+			})
+			env.SpawnAt(base, "late", func(p *Proc) {
+				p.Sleep(800 * Nanosecond)
+				wokeLate = p.Now()
+			})
+			h := start.Add(500 * Nanosecond)
+			if got := env.RunUntil(h); got != h {
+				t.Fatalf("RunUntil = %v, want clock clamped to %v", got, h)
+			}
+			if want := start.Add(200 * Nanosecond); wokeEarly != want {
+				t.Errorf("early woke at %v, want %v", wokeEarly, want)
+			}
+			if wokeLate != 0 {
+				t.Errorf("late woke at %v, before the horizon", wokeLate)
+			}
+			env.Run()
+			if want := start.Add(800 * Nanosecond); wokeLate != want {
+				t.Errorf("late woke at %v, want %v", wokeLate, want)
+			}
+		})
+	}
+}
+
+// Blocked must report exactly the signal-parked processes, sorted, while
+// sleepers, near-term or milliseconds out, have pending wake-ups and so
+// never count as blocked.
+func TestBlockedSortedExcludesSleepers(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	sig := NewSignal(env)
+	env.Spawn("wait-c", func(p *Proc) { sig.Wait(p) })
+	env.Spawn("wait-a", func(p *Proc) { sig.Wait(p) })
+	env.Spawn("wait-b", func(p *Proc) { sig.Wait(p) })
+	// One short sleeper and one long one, both outlasting the first run.
+	env.Spawn("sleep-near", func(p *Proc) { p.Sleep(50 * Microsecond) })
+	env.Spawn("sleep-far", func(p *Proc) { p.Sleep(5 * Millisecond) })
+
+	env.RunUntil(Time(0).Add(10 * Microsecond))
+	got := env.Blocked()
+	want := []string{"wait-a", "wait-b", "wait-c"}
+	if len(got) != len(want) {
+		t.Fatalf("Blocked() = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Blocked() = %v, want %v (sorted)", got, want)
+		}
+	}
+
+	// Once the signal fires the waiters drain and nothing is blocked.
+	env.Spawn("firer", func(p *Proc) { sig.Fire() })
+	env.Run()
+	if got := env.Blocked(); len(got) != 0 {
+		t.Fatalf("Blocked() after drain = %v, want empty", got)
+	}
+	if env.Live() != 0 {
+		t.Fatalf("Live() after drain = %d, want 0", env.Live())
+	}
+}
+
+// Blocked's contract is "no pending wake-up": a process inside WaitTimeout
+// still has its deadline queued, even when that deadline lies beyond the
+// current RunUntil horizon, so it is not reported.
+func TestBlockedExcludesPendingTimeout(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	sig := NewSignal(env)
+	env.Spawn("wt", func(p *Proc) { sig.WaitTimeout(p, 5*Millisecond) })
+	env.Spawn("stuck", func(p *Proc) { sig.Wait(p) })
+
+	env.RunUntil(Time(0).Add(10 * Microsecond))
+	if got := env.Blocked(); len(got) != 1 || got[0] != "stuck" {
+		t.Fatalf("Blocked() within the deadline = %v, want [stuck]", got)
+	}
+	env.Run()
+	if got := env.Blocked(); len(got) != 1 || got[0] != "stuck" {
+		t.Fatalf("Blocked() after the deadline = %v, want [stuck]", got)
+	}
+	if env.Live() != 1 {
+		t.Fatalf("Live() = %d, want 1", env.Live())
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 )
 
 // A Proc is allocated per spawn, and pool sweeps spawn hundreds of
-// thousands, so it must stay in the 112-byte size class.
+// thousands, so it must stay in the 96-byte size class.
 func TestProcSizeClass(t *testing.T) {
-	if n := unsafe.Sizeof(Proc{}); n > 112 {
-		t.Fatalf("sizeof(Proc) = %d bytes, want <= 112", n)
+	if n := unsafe.Sizeof(Proc{}); n > 96 {
+		t.Fatalf("sizeof(Proc) = %d bytes, want <= 96", n)
 	}
 }
 
@@ -49,7 +49,7 @@ func stepScenario(asStep bool) []string {
 	})
 	if asStep {
 		i, phase := 0, 0
-		env.NewShard().SpawnStep("server", func(p *Proc) bool {
+		env.SpawnStep("server", func(p *Proc) bool {
 			for {
 				switch phase {
 				case 0:
@@ -77,7 +77,7 @@ func stepScenario(asStep bool) []string {
 			}
 		})
 	} else {
-		env.NewShard().Spawn("server", func(p *Proc) {
+		env.Spawn("server", func(p *Proc) {
 			for i := 0; i < items; i++ {
 				for len(queue) <= i {
 					arrive.Wait(p)
@@ -113,16 +113,15 @@ func TestCloseUnwindsStepProcesses(t *testing.T) {
 	env := NewEnv()
 	never := NewSignal(env)
 	res := NewResource(env, 1)
-	sh := env.NewShard()
 	env.Spawn("holder", func(p *Proc) {
 		res.Acquire(p)
 		never.Wait(p)
 	})
-	sh.SpawnStep("on-signal", func(p *Proc) bool {
+	env.SpawnStep("on-signal", func(p *Proc) bool {
 		never.Arm(p)
 		return true
 	})
-	sh.SpawnStep("on-resource", func(p *Proc) bool {
+	env.SpawnStep("on-resource", func(p *Proc) bool {
 		if res.AcquireOrArm(p) {
 			t.Error("acquired a held resource")
 			return false
@@ -174,7 +173,7 @@ func TestStepBodyMisusePanics(t *testing.T) {
 			env := NewEnv()
 			defer env.Close()
 			sig := NewSignal(env)
-			env.NewShard().SpawnStep("bad", cases[name](sig))
+			env.SpawnStep("bad", cases[name](sig))
 			got := func() (r any) {
 				defer func() { r = recover() }()
 				env.Run()

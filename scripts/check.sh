@@ -67,13 +67,13 @@ if [ "$pool_j1" != "$pool_j8" ]; then
   exit 1
 fi
 
-# Coverage-guided fuzz smoke of the shard-independent delivery order and
+# Coverage-guided fuzz smoke of the segment-independent delivery order and
 # of the pool's placement index against its linear-scan oracles. The
 # recorded seeds always run as part of `go test` above; the search itself
 # is opt-in locally (CI always runs its own 10s passes).
 if [ "${CDI_FUZZ:-0}" = "1" ]; then
-  echo "== fuzz smoke (FuzzShardedMergeOrder, 10s)"
-  go test ./internal/sim -run xxx -fuzz FuzzShardedMergeOrder -fuzztime=10s
+  echo "== fuzz smoke (FuzzSegmentedRun, 10s)"
+  go test ./internal/sim -run xxx -fuzz FuzzSegmentedRun -fuzztime=10s
   echo "== fuzz smoke (FuzzPlacementIndex, 10s)"
   go test ./internal/pool -run xxx -fuzz FuzzPlacementIndex -fuzztime=10s
 fi
