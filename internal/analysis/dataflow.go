@@ -488,7 +488,7 @@ func sinkOf(g *callGraph, info *types.Info, call *ast.CallExpr) (string, func(in
 				}
 				if pkg := fn.Pkg(); pkg != nil && strings.HasSuffix(pkg.Path(), "/internal/sim") {
 					switch name {
-					case "Spawn", "SpawnAt", "SpawnStep", "Sleep", "ArmTimer":
+					case "Spawn", "SpawnAt", "SpawnStep", "SpawnStepAt", "Sleep", "ArmTimer":
 						return "sim event scheduling (" + name + ")", nil
 					}
 				}

@@ -45,9 +45,12 @@ var hotRootConfig = []struct {
 	// caller stops being a root itself.
 	{"internal/sim", "Env", "schedule"},
 	{"internal/sim", "Proc", "yield"},
-	// The GPU stream runner, a step body the engine calls through a
-	// function value once per op phase, so no static edge reaches it.
+	// Step bodies the engine calls through a function value once per
+	// wake-up, so no static edge reaches them: the GPU stream runner, the
+	// serving arrival cursor and the health heartbeat.
 	{"internal/gpu", "Stream", "step"},
+	{"internal/serve", "arrivals", "step"},
+	{"internal/health", "beat", "step"},
 }
 
 // UnresolvedHotRoots returns the hotRootConfig entries that name no

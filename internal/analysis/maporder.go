@@ -31,7 +31,8 @@ func orderDependentCall(name string) string {
 	case strings.HasPrefix(name, "Print") || strings.HasPrefix(name, "Fprint") ||
 		strings.HasPrefix(name, "Write") || strings.HasPrefix(name, "Encode"):
 		return "writes output"
-	case name == "Spawn" || name == "SpawnAt" || name == "SpawnStep" || name == "Fire" || name == "Launch" || name == "schedule":
+	case name == "Spawn" || name == "SpawnAt" || name == "SpawnStep" || name == "SpawnStepAt" ||
+		name == "Fire" || name == "Launch" || name == "schedule":
 		return "posts simulator events"
 	}
 	return ""

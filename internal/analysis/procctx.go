@@ -8,8 +8,8 @@ import (
 
 // This file builds the process context the waitgraph analyzer reads: the
 // code regions of every function and function literal, the static edges
-// between them, and the Env.Spawn/SpawnAt/SpawnStep sites that start a
-// region as a process.
+// between them, and the Env.Spawn/SpawnAt/SpawnStep/SpawnStepAt sites
+// that start a region as a process.
 //
 // Calls through interfaces or function values contribute no edge, so code
 // only reachable dynamically stays out of a process's reach rather than
@@ -53,7 +53,7 @@ func (r *procRegion) inSimPackage() bool {
 	return strings.HasSuffix(r.pkg.Path, "/internal/sim")
 }
 
-// spawnSite is one Env.Spawn/SpawnAt/SpawnStep call.
+// spawnSite is one Env.Spawn/SpawnAt/SpawnStep/SpawnStepAt call.
 type spawnSite struct {
 	region  *procRegion // region containing the call
 	call    *ast.CallExpr
@@ -171,9 +171,9 @@ func simMethod(info *types.Info, call *ast.CallExpr, recvName string) (string, a
 	return fn.Name(), sel.X, true
 }
 
-// resolveSpawns finds the Env.Spawn/SpawnAt/SpawnStep calls a region
-// directly owns and resolves each one's spawnee. A step process body is a
-// proc region like any other.
+// resolveSpawns finds the spawn calls a region directly owns and resolves
+// each one's spawnee. A step process body is a proc region like any
+// other.
 func (pc *procContext) resolveSpawns(r *procRegion, spawnArg map[*ast.FuncLit]bool) {
 	info := r.pkg.Info
 	inspectRegion(r.body, func(node ast.Node) bool {
@@ -182,7 +182,7 @@ func (pc *procContext) resolveSpawns(r *procRegion, spawnArg map[*ast.FuncLit]bo
 			return true
 		}
 		name, _, ok := simMethod(info, call, "Env")
-		if !ok || (name != "Spawn" && name != "SpawnAt" && name != "SpawnStep") {
+		if !ok || (name != "Spawn" && name != "SpawnAt" && name != "SpawnStep" && name != "SpawnStepAt") {
 			return true
 		}
 		site := spawnSite{region: r, call: call, spawnee: pc.spawnedRegion(r, call, name)}
@@ -201,7 +201,7 @@ func (pc *procContext) resolveSpawns(r *procRegion, spawnArg map[*ast.FuncLit]bo
 // function or method value.
 func (pc *procContext) spawnedRegion(r *procRegion, call *ast.CallExpr, method string) *procRegion {
 	idx := 1
-	if method == "SpawnAt" {
+	if method == "SpawnAt" || method == "SpawnStepAt" {
 		idx = 2
 	}
 	if len(call.Args) <= idx {

@@ -21,6 +21,9 @@ func (e *Env) SpawnAt(delay Duration, name string, fn func(p *Proc)) {}
 // SpawnStep starts a stackless step process.
 func (e *Env) SpawnStep(name string, step func(p *Proc) bool) {}
 
+// SpawnStepAt starts a stackless step process after delay.
+func (e *Env) SpawnStepAt(delay Duration, name string, step func(p *Proc) bool) {}
+
 // Proc is a process handle.
 type Proc struct{ env *Env }
 

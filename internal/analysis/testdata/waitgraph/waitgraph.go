@@ -157,3 +157,32 @@ func armedNeverFired(env *sim.Env) {
 		return true
 	})
 }
+
+// delayedArmNeverFired: a delayed step process arms a signal nothing fires.
+func delayedArmNeverFired(env *sim.Env) {
+	latch := sim.NewSignal(env)
+	env.SpawnStepAt(5, "late-stepper", func(p *sim.Proc) bool {
+		latch.Arm(p) // want
+		return true
+	})
+}
+
+// delayedRelay: the relay spawns a delayed step process that fires left,
+// then waits for right, which the other proc fires once left wakes it.
+// The step body is its own process, not part of the relay, so the relay
+// does not fire left and there is no wait cycle. Clean.
+func delayedRelay(env *sim.Env) {
+	left := sim.NewSignal(env)
+	right := sim.NewSignal(env)
+	env.Spawn("relay", func(p *sim.Proc) {
+		p.Env().SpawnStepAt(5, "opener", func(sp *sim.Proc) bool {
+			left.Fire()
+			return false
+		})
+		right.Wait(p)
+	})
+	env.Spawn("follower", func(p *sim.Proc) {
+		left.Wait(p)
+		right.Fire()
+	})
+}

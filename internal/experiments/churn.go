@@ -182,7 +182,9 @@ func Churn(o Options) ([]ChurnRow, error) {
 			}
 			return ChurnRow{Slack: sl, Load: load, Arm: j.arm, Report: rep}, nil
 		}
-		return churnCell(sl, load, churnIntensities[j.intIdx], o.ServeWindow,
+		env := sim.NewEnv()
+		defer env.Close()
+		return churnCell(env, sl, load, churnIntensities[j.intIdx], o.ServeWindow,
 			j.loadIdx, j.intIdx, j.arm == "managed")
 	})
 }
@@ -193,8 +195,9 @@ func Churn(o Options) ([]ChurnRow, error) {
 // identical pool, schedule, and workload with neither. Pool exhaustion
 // (the engine dying because no server survived) is recorded, not
 // returned as an error — a pool that collapses under churn is a
-// measurement, not a failure of the experiment.
-func churnCell(sl sim.Duration, load float64, intensity float64, window sim.Duration,
+// measurement, not a failure of the experiment. The cell runs on env,
+// which the caller owns and closes.
+func churnCell(env *sim.Env, sl sim.Duration, load float64, intensity float64, window sim.Duration,
 	loadIdx, intIdx int, managed bool) (ChurnRow, error) {
 	tenants := churnTenants(load)
 	reqs, err := serve.Generate(tenants, window, servingSeed(loadIdx))
@@ -205,8 +208,6 @@ func churnCell(sl sim.Duration, load float64, intensity float64, window sim.Dura
 	if err != nil {
 		return ChurnRow{}, err
 	}
-	env := sim.NewEnv()
-	defer env.Close()
 	fseed := churnFaultSeed(intIdx)
 	pool, err := remoting.NewResilient(env, gpu.A100(), remoting.ResilientConfig{
 		Config:               remoting.Config{Path: path, Seed: fseed},

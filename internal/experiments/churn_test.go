@@ -134,11 +134,16 @@ func TestChurnManagedDominatesBaseline(t *testing.T) {
 // healthy pool must not perturb the workload at all.
 func TestChurnControlPlaneTransparentWithoutFaults(t *testing.T) {
 	const window = 300 * sim.Millisecond
-	off, err := churnCell(100*sim.Microsecond, 1, 0, window, 1, 0, false)
+	cell := func(managed bool) (ChurnRow, error) {
+		env := sim.NewEnv()
+		defer env.Close()
+		return churnCell(env, 100*sim.Microsecond, 1, 0, window, 1, 0, managed)
+	}
+	off, err := cell(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	on, err := churnCell(100*sim.Microsecond, 1, 0, window, 1, 0, true)
+	on, err := cell(true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -126,18 +126,19 @@ func Pool(o Options) ([]PoolRow, error) {
 	o = o.withDefaults()
 	jobs := poolJobs()
 	return runner.Map(o.Jobs, len(jobs), func(i int) (PoolRow, error) {
-		return poolCell(jobs[i], o.ServeWindow)
+		env := sim.NewEnv()
+		defer env.Close()
+		return poolCell(env, jobs[i], o.ServeWindow)
 	})
 }
 
-// poolCell runs one pool configuration to completion.
-func poolCell(j poolJob, window sim.Duration) (PoolRow, error) {
+// poolCell runs one pool configuration to completion on env, which the
+// caller owns and closes.
+func poolCell(env *sim.Env, j poolJob, window sim.Duration) (PoolRow, error) {
 	topo := poolTopology()
 	if j.faulty {
 		topo = poolFaultTopology()
 	}
-	env := sim.NewEnv()
-	defer env.Close()
 	sched, err := pool.Start(env, pool.Config{
 		Topo:   topo,
 		Policy: pool.Policy(j.polIdx),

@@ -2,6 +2,7 @@ package health
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"strconv"
 
@@ -196,21 +197,32 @@ func (c Config) withDefaults(inj *faults.Injector) Config {
 	return c
 }
 
+// validate rejects configs the control plane cannot run: a NaN interval
+// panics inside a heartbeat process, a NaN or infinite horizon never ends
+// the heartbeat and evaluator processes, an infinite interval monitors
+// nothing, and a jitter fraction of 1 or more gives beat periods of zero
+// or less. The comparisons are written so that NaN fails them.
 func (c Config) validate() error {
-	if c.Interval <= 0 {
-		return fmt.Errorf("health: non-positive heartbeat interval %v", c.Interval)
+	if !(c.Interval > 0) || math.IsInf(float64(c.Interval), 1) {
+		return fmt.Errorf("health: heartbeat interval %v is not finite and positive", c.Interval)
 	}
-	if c.Horizon <= 0 {
+	if c.Horizon == 0 {
 		return fmt.Errorf("health: monitoring horizon is required")
 	}
-	if c.SuspectPhi <= 0 || c.DeadPhi <= c.SuspectPhi {
+	if !(c.Horizon > 0) || math.IsInf(float64(c.Horizon), 1) {
+		return fmt.Errorf("health: monitoring horizon %v is not finite and positive", c.Horizon)
+	}
+	if !(c.JitterFrac < 1) {
+		return fmt.Errorf("health: jitter fraction %g is not below 1", c.JitterFrac)
+	}
+	if !(c.SuspectPhi > 0 && c.DeadPhi > c.SuspectPhi) {
 		return fmt.Errorf("health: need 0 < SuspectPhi (%g) < DeadPhi (%g)", c.SuspectPhi, c.DeadPhi)
 	}
 	if c.RecoverBeats < 1 {
 		return fmt.Errorf("health: RecoverBeats %d < 1", c.RecoverBeats)
 	}
-	if c.DropProbability >= 1 {
-		return fmt.Errorf("health: heartbeat drop probability %g >= 1", c.DropProbability)
+	if !(c.DropProbability < 1) {
+		return fmt.Errorf("health: heartbeat drop probability %g is not below 1", c.DropProbability)
 	}
 	if err := c.Path.Validate(); err != nil {
 		return fmt.Errorf("health: %w", err)
@@ -300,7 +312,11 @@ func Start(env *sim.Env, pool Pool, inj *faults.Injector, cfg Config) (*Controll
 		c.det[i] = NewDetector(cfg.Window, cfg.Interval)
 	}
 	for i := 0; i < n; i++ {
-		env.Spawn("health-beat-"+strconv.Itoa(i), func(p *sim.Proc) { c.heartbeat(p, i) })
+		b := &beat{c: c, i: i, jitter: faults.Substream(cfg.Seed, saltBeatJitter+uint64(i))}
+		if cfg.DropProbability > 0 {
+			b.drop = faults.Substream(cfg.Seed, saltBeatDrop+uint64(i))
+		}
+		env.SpawnStep("health-beat-"+strconv.Itoa(i), b.step)
 	}
 	env.Spawn("health-eval", c.evaluate)
 	return c, nil
@@ -321,52 +337,85 @@ func (c *Controller) horizonLeft(now sim.Time) sim.Duration {
 	return c.start.Add(c.cfg.Horizon).Sub(now)
 }
 
-// heartbeat emits server i's beat stream until the horizon. A beat is
-// lost when the fabric link is down, when the server is crashed, or when
-// the loss coin says so; a stalled server delivers late (the beat waits
-// out the stall). Delivered beats feed the detector after the path's
-// transfer time.
-func (c *Controller) heartbeat(p *sim.Proc, i int) {
-	jitter := faults.Substream(c.cfg.Seed, saltBeatJitter+uint64(i))
-	var drop *rand.Rand
-	if c.cfg.DropProbability > 0 {
-		drop = faults.Substream(c.cfg.Seed, saltBeatDrop+uint64(i))
-	}
+// beat is server i's heartbeat stream, a step process that runs until the
+// horizon. A beat is lost when the fabric link is down, when the server
+// is crashed, or when the loss coin says so; a stalled server delivers
+// late (the beat waits out the stall). Delivered beats feed the detector
+// after the path's transfer time.
+type beat struct {
+	c            *Controller
+	i            int
+	jitter, drop *rand.Rand // drop is nil when beats are never lost
+	phase        beatPhase
+}
+
+// beatPhase is where a beat stands: each phase but the first begins at
+// the wake-up the previous one armed.
+type beatPhase uint8
+
+const (
+	beatPeriod  beatPhase = iota // draw the next period and arm it
+	beatArrive                   // the beat is due: link and server state
+	beatSend                     // past any stall: loss coin, then transfer
+	beatObserve                  // the beat lands at the detector
+)
+
+// step advances the beat stream through its phases until it must wait,
+// arming exactly the timers the blocking loop would sleep on: none for a
+// zero stall or a zero transfer.
+func (b *beat) step(p *sim.Proc) bool {
+	c := b.c
 	for {
-		period := c.cfg.Interval
-		if c.cfg.JitterFrac > 0 {
-			period = sim.Duration(float64(period) * (1 + c.cfg.JitterFrac*(2*jitter.Float64()-1)))
-		}
-		if period > c.horizonLeft(p.Now()) {
-			return
-		}
-		p.Sleep(period)
-		now := p.Now()
-		if c.inj != nil {
-			if down, _ := c.inj.LinkDown(now); down {
-				c.stats.DroppedBeats++
+		switch b.phase {
+		case beatPeriod:
+			period := c.cfg.Interval
+			if c.cfg.JitterFrac > 0 {
+				period = sim.Duration(float64(period) * (1 + c.cfg.JitterFrac*(2*b.jitter.Float64()-1)))
+			}
+			if period > c.horizonLeft(p.Now()) {
+				return false
+			}
+			b.phase = beatArrive
+			p.ArmTimer(period)
+			return true
+		case beatArrive:
+			now := p.Now()
+			b.phase = beatSend
+			if c.inj == nil {
 				continue
 			}
-			state, until := c.inj.Server(i).StateAt(now)
+			if down, _ := c.inj.LinkDown(now); down {
+				c.stats.DroppedBeats++
+				b.phase = beatPeriod
+				continue
+			}
+			state, until := c.inj.Server(b.i).StateAt(now)
 			switch state {
 			case faults.Crashed:
 				c.stats.DroppedBeats++
-				continue
+				b.phase = beatPeriod
 			case faults.Stalled:
 				if wait := until.Sub(now); wait > 0 {
-					p.Sleep(wait)
+					p.ArmTimer(wait)
+					return true
 				}
 			}
+		case beatSend:
+			if b.drop != nil && b.drop.Float64() < c.cfg.DropProbability {
+				c.stats.DroppedBeats++
+				b.phase = beatPeriod
+				continue
+			}
+			b.phase = beatObserve
+			if d := c.cfg.Path.TransferTime(heartbeatBytes); d > 0 {
+				p.ArmTimer(d)
+				return true
+			}
+		case beatObserve:
+			c.stats.Beats++
+			c.det[b.i].Observe(p.Now())
+			b.phase = beatPeriod
 		}
-		if drop != nil && drop.Float64() < c.cfg.DropProbability {
-			c.stats.DroppedBeats++
-			continue
-		}
-		if d := c.cfg.Path.TransferTime(heartbeatBytes); d > 0 {
-			p.Sleep(d)
-		}
-		c.stats.Beats++
-		c.det[i].Observe(p.Now())
 	}
 }
 

@@ -1,12 +1,15 @@
 package health
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/gpu"
+	"repro/internal/pool"
 	"repro/internal/remoting"
 	"repro/internal/sim"
 )
@@ -110,6 +113,16 @@ func TestConfigValidate(t *testing.T) {
 		{Horizon: sim.Second, SuspectPhi: 5}, // suspect above default dead
 		{Horizon: sim.Second, RecoverBeats: -1},
 		{Horizon: sim.Second, DropProbability: 1},
+		{Horizon: sim.Duration(math.NaN())},                        // the procs would never end
+		{Horizon: sim.Duration(math.Inf(1))},                       // the procs would never end
+		{Horizon: sim.Duration(math.Inf(-1))},                      // negative
+		{Horizon: sim.Second, Interval: sim.Duration(math.NaN())},  // NaN wake-up time
+		{Horizon: sim.Second, Interval: sim.Duration(math.Inf(1))}, // infinite period
+		{Horizon: sim.Second, JitterFrac: 1},                       // zero-length periods
+		{Horizon: sim.Second, JitterFrac: 1.5},                     // negative periods
+		{Horizon: sim.Second, JitterFrac: math.NaN()},              // would turn jitter off
+		{Horizon: sim.Second, DropProbability: math.NaN()},
+		{Horizon: sim.Second, SuspectPhi: math.NaN()},
 	}
 	for i, cfg := range bad {
 		if _, err := Start(env, pool, pool.Injector(), cfg); err == nil {
@@ -253,5 +266,128 @@ func TestControllerDeterminism(t *testing.T) {
 	}
 	if len(l1) == 0 {
 		t.Error("churn run produced no transitions at all")
+	}
+}
+
+// pinCell is one pinned control-plane run: its Stats and a digest of its
+// full transition log.
+type pinCell struct {
+	stats  Stats
+	trans  int
+	digest uint64
+}
+
+// logDigest is the FNV-1a hash of every transition's fields, times taken
+// bit for bit.
+func logDigest(log []Transition) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, tr := range log {
+		binary.LittleEndian.PutUint64(b[:], uint64(tr.Server))
+		h.Write(b[:])
+		h.Write([]byte{byte(tr.From), byte(tr.To)})
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(float64(tr.At)))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// runPinnedResilient is TestControllerDeterminism's churn run over a
+// remoting.Resilient pool.
+func runPinnedResilient(t *testing.T) pinCell {
+	return runPinnedFaults(t, churnConfig(19))
+}
+
+// runPinnedStalls adds link flaps, server stalls and message loss to the
+// churn, so beats are lost on a down link, wait out stalls and flip the
+// loss coin.
+func runPinnedStalls(t *testing.T) pinCell {
+	fc := churnConfig(23)
+	fc.DropProbability = 0.05
+	fc.FlapEvery, fc.FlapOutage = 10*sim.Millisecond, 300*sim.Microsecond
+	fc.StallEvery, fc.StallFor = 5*sim.Millisecond, 700*sim.Microsecond
+	return runPinnedFaults(t, fc)
+}
+
+// runPinnedFaults monitors a one-standby Resilient pool under fc for 80 ms.
+func runPinnedFaults(t *testing.T, fc faults.Config) pinCell {
+	env := sim.NewEnv()
+	defer env.Close()
+	pl := testPool(t, env, fc, 1)
+	c, err := Start(env, pl, pl.Injector(), Config{Seed: fc.Seed, Horizon: 80 * sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Run()
+	return pinCell{c.Stats(), len(c.Registry().Log()), logDigest(c.Registry().Log())}
+}
+
+// runPinnedPool is a crash cell over a pool.Scheduler: a 512-GPU pool
+// with defragmentation on, 100 ms crash outages and 1 ms beats over a
+// rack-scale path, the shape of the pool experiment's failure cells.
+func runPinnedPool(t *testing.T) pinCell {
+	env := sim.NewEnv()
+	defer env.Close()
+	window := 500 * sim.Millisecond
+	sched, err := pool.Start(env, pool.Config{
+		Topo:     pool.Topology{Rows: 2, RacksPerRow: 4, ServersPerRack: 8, GPUsPerServer: 8},
+		Policy:   pool.TierAware,
+		Workload: pool.Workload{Seed: 9002, Window: window, Load: 0.95, Intensity: 0.5},
+		Defrag:   true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := faults.NewInjector(faults.Config{Seed: 9101, CrashAfter: 5 * sim.Second, CrashFor: 100 * sim.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Start(env, sched, inj, Config{
+		Seed:     9201,
+		Interval: sim.Millisecond,
+		Horizon:  2 * window,
+		Path:     fabric.Preset(fabric.RackScale, 0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Run()
+	return pinCell{c.Stats(), len(c.Registry().Log()), logDigest(c.Registry().Log())}
+}
+
+// TestControllerPinned pins three control-plane runs field by field:
+// TestControllerDeterminism only compares a run with itself, so it cannot
+// see a beat, a loss coin or an evaluator tick move to another (time,
+// seq) slot. The pins change only with an intended behaviour change.
+func TestControllerPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T) pinCell
+		want pinCell
+	}{
+		{"resilient", runPinnedResilient, pinCell{
+			stats: Stats{Beats: 520, DroppedBeats: 120, Suspicions: 6, Drains: 5, Deaths: 3,
+				Recoveries: 6, Readmissions: 5, DetectionCount: 6,
+				DetectionTotal: 0.009552453013640067, DetectionMax: 0.004122735294280727},
+			trans: 26, digest: 0xd489e61e7bcca438,
+		}},
+		{"stalls", runPinnedStalls, pinCell{
+			stats: Stats{Beats: 512, DroppedBeats: 75, Suspicions: 7, FalseSuspicions: 6, Drains: 6,
+				Deaths: 2, Recoveries: 8, Readmissions: 6, DetectionCount: 1,
+				DetectionTotal: 0.00404180769739966, DetectionMax: 0.00404180769739966},
+			trans: 30, digest: 0x5217c7af51babe5e,
+		}},
+		{"pool", runPinnedPool, pinCell{
+			stats: Stats{Beats: 63231, DroppedBeats: 731, Suspicions: 8, Drains: 8, Deaths: 8,
+				Recoveries: 6, Readmissions: 6, DetectionCount: 8,
+				DetectionTotal: 0.026914971933818477, DetectionMax: 0.0037946576121096753},
+			trans: 36, digest: 0x29202758d903d5b9,
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.run(t); got != tc.want {
+				t.Errorf("got  %+v\nwant %+v", got, tc.want)
+			}
+		})
 	}
 }

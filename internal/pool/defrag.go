@@ -157,7 +157,8 @@ func (s *Scheduler) executeMove(now sim.Time, mv move) {
 	s.stats.MigrationBytes += int64(j.Gang) * j.Shape.BytesPerGPU()
 	s.sweepOutstanding++
 	id := mv.id
-	s.env.SpawnAt(cost, "pool-migrate", func(mp *sim.Proc) {
+	s.env.SpawnStepAt(cost, "pool-migrate", func(*sim.Proc) bool {
 		s.post(msgMigrated, id)
+		return false
 	})
 }

@@ -491,8 +491,9 @@ func (s *Scheduler) doPlace(now sim.Time, id int, sl []slice, scale fabric.Scale
 	if lat > s.stats.PlaceLatencyMax {
 		s.stats.PlaceLatencyMax = lat
 	}
-	s.env.SpawnAt(j.Lifetime, "pool-job-end", func(jp *sim.Proc) {
+	s.env.SpawnStepAt(j.Lifetime, "pool-job-end", func(*sim.Proc) bool {
 		s.post(msgDone, id)
+		return false
 	})
 }
 

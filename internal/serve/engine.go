@@ -112,8 +112,9 @@ type pending struct {
 
 // Engine serves one replica's request stream: an arrival process feeds the
 // admission queue on the sim clock and a batcher process drains it through
-// the Transport according to the configured policy. Both run as sim procs;
-// results are valid after env.Run() returns.
+// the Transport according to the configured policy. Both run as sim procs
+// (the arrivals as a step process); results are valid after env.Run()
+// returns.
 type Engine struct {
 	env   *sim.Env
 	tr    Transport
@@ -175,7 +176,7 @@ func Start(env *sim.Env, tr Transport, cfg Config, reqs []Request) (*Engine, err
 	if cfg.Admission.enabled() {
 		e.m.ShedByTenant = make([]int, len(cfg.Tenants))
 	}
-	env.Spawn("serve-arrivals", func(p *sim.Proc) { e.arrivals(p, reqs) })
+	env.SpawnStep("serve-arrivals", (&arrivals{e: e, reqs: reqs}).step)
 	env.Spawn("serve-batcher", e.batcher)
 	return e, nil
 }
@@ -192,17 +193,36 @@ func (e *Engine) Spans() []trace.AppSpan { return e.spans }
 // Completed returns how many requests have finished.
 func (e *Engine) Completed() int { return e.completed }
 
-// arrivals delivers the pre-generated schedule into the admission queue.
-// Every arrival fires the signal — even one shed at the door — so the
-// batcher re-checks its completion condition.
-func (e *Engine) arrivals(p *sim.Proc, reqs []Request) {
-	for _, r := range reqs {
-		if d := r.Arrival.Sub(p.Now()); d > 0 {
-			p.Sleep(d)
+// arrivals delivers the pre-generated schedule into the admission queue,
+// a step process with a cursor over reqs. Every arrival fires the signal
+// — even one shed at the door — so the batcher re-checks its completion
+// condition.
+type arrivals struct {
+	e    *Engine
+	reqs []Request
+	next int
+	// due marks a timer wake-up armed for reqs[next]. That request is
+	// delivered without re-reading the clock: after now.Add(d) its
+	// Arrival.Sub(now) can still be a nonzero float.
+	due bool
+}
+
+func (a *arrivals) step(p *sim.Proc) bool {
+	e := a.e
+	for ; a.next < len(a.reqs); a.next++ {
+		r := a.reqs[a.next]
+		if !a.due {
+			if d := r.Arrival.Sub(p.Now()); d > 0 {
+				a.due = true
+				p.ArmTimer(d)
+				return true
+			}
 		}
+		a.due = false
 		e.enqueue(e.newPending(r))
 		e.more.Fire()
 	}
+	return false
 }
 
 // enqueue admits one request, applying queue-cap backpressure while the

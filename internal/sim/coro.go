@@ -34,6 +34,7 @@ func (e *Env) resume(p *Proc) {
 		}
 		c.p, p.co = p, c
 	}
+	e.stats.Switches++
 	c.next()
 }
 
@@ -42,6 +43,7 @@ func (e *Env) resume(p *Proc) {
 // of those states: a wake-up armed and true returned, or nothing armed and
 // false returned. Either mistake would strand the process, so it panics.
 func (e *Env) runStep(p *Proc) {
+	e.stats.Steps++
 	more := p.step(p)
 	if armed := len(p.waits) > 0 || p.sigParked; more != armed {
 		if more {

@@ -129,7 +129,31 @@ type Env struct {
 	// left both the queue and its process's waits list.
 	free []*event
 	slab []event
+
+	stats Stats
 }
+
+// Stats counts the work an Env has done. Every field is a deterministic
+// function of the simulated program, so a test can pin them exactly.
+// Events delivered are Wakeups + Inline.
+type Stats struct {
+	// Wakeups counts events RunUntil's loop delivered. Each one either
+	// switches to a coroutine or calls a step body.
+	Wakeups uint64
+	// Inline counts events a parking coroutine delivered without leaving
+	// its stack: its own wake-up, or a step body's, heading the queue.
+	Inline uint64
+	// Steps counts step-body calls, from the loop and inline.
+	Steps uint64
+	// Switches counts coroutine switches: resumes from the loop.
+	Switches uint64
+	// Spawns counts processes spawned.
+	Spawns uint64
+}
+
+// Stats returns the work counters accumulated so far. Close's teardown
+// is not counted.
+func (e *Env) Stats() Stats { return e.stats }
 
 // NewEnv returns an empty environment with the clock at zero.
 func NewEnv() *Env {
@@ -287,6 +311,11 @@ func (e *Env) SpawnStep(name string, step func(p *Proc) bool) *Proc {
 	return e.spawnAt(0, &Proc{name: name, step: step})
 }
 
+// SpawnStepAt is SpawnStep with a start delay, as SpawnAt is Spawn's.
+func (e *Env) SpawnStepAt(delay Duration, name string, step func(p *Proc) bool) *Proc {
+	return e.spawnAt(delay, &Proc{name: name, step: step})
+}
+
 // spawnAt binds p, whose name and body are set, to the environment and
 // schedules its start delay from now.
 func (e *Env) spawnAt(delay Duration, p *Proc) *Proc {
@@ -299,6 +328,7 @@ func (e *Env) spawnAt(delay Duration, p *Proc) *Proc {
 	p.env = e
 	p.waits = p.waitsBuf[:0]
 	e.nprocs++
+	e.stats.Spawns++
 	e.schedule(e.now.Add(delay), p, wakeStart)
 	return p
 }
@@ -319,6 +349,7 @@ func (e *Env) RunUntil(horizon Time) Time {
 	}
 	e.horizon = horizon
 	for ev := e.next(); ev != nil; ev = e.next() {
+		e.stats.Wakeups++
 		if p := e.wake(ev); p.step != nil {
 			e.runStep(p)
 		} else {

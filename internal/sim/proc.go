@@ -62,6 +62,7 @@ func (p *Proc) yield() wakeKind {
 		if ev == nil || (ev.proc != p && ev.proc.step == nil) {
 			break
 		}
+		e.stats.Inline++
 		q := e.wake(e.q.popMin())
 		if q == p {
 			return p.wake

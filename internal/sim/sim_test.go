@@ -808,3 +808,33 @@ func TestFreelistPreservesRacingWakeups(t *testing.T) {
 		t.Fatalf("waits completed = %d, want %d", got, 1000)
 	}
 }
+
+// Stats counts each delivery once, by where it ran: a step process that
+// heads the queue while a coroutine parks runs inline, as does the
+// coroutine's own next wake-up, and only the loop's resumes switch.
+func TestEnvStatsCounts(t *testing.T) {
+	env := NewEnv()
+	defer env.Close()
+	calls := 0
+	env.SpawnStep("stepper", func(p *Proc) bool {
+		if calls++; calls == 3 {
+			return false
+		}
+		p.ArmTimer(Microsecond)
+		return true
+	})
+	env.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(1500 * Nanosecond)
+		p.Sleep(Microsecond)
+	})
+	env.Run()
+	// The loop starts both; the stepper's wake-ups at 1 and 2 µs and the
+	// sleeper's at 1.5 and 2.5 µs all run inside the sleeper's parks.
+	want := Stats{Wakeups: 2, Inline: 4, Steps: 3, Switches: 1, Spawns: 2}
+	if got := env.Stats(); got != want {
+		t.Fatalf("Stats() = %+v, want %+v", got, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = env.Stats() }); n != 0 {
+		t.Fatalf("Stats() allocates %v times per call", n)
+	}
+}

@@ -186,3 +186,96 @@ func TestStepBodyMisusePanics(t *testing.T) {
 		})
 	}
 }
+
+// notifierScenario runs one-shot notifiers, spawned either as coroutines
+// with SpawnAt or as step processes with SpawnStepAt, against a receiver
+// that waits with a timeout and a ticker that wakes at the same instants,
+// and returns the log of every observable action with its instant.
+func notifierScenario(asStep bool) []string {
+	env := NewEnv()
+	defer env.Close()
+	box := NewSignal(env)
+	var mail []int
+	var log []string
+	note := func(format string, args ...any) {
+		log = append(log, fmt.Sprintf("%.9f ", float64(env.Now()))+fmt.Sprintf(format, args...))
+	}
+	notify := func(delay Duration, k int) {
+		post := func() {
+			note("post %d", k)
+			mail = append(mail, k)
+			box.Fire()
+		}
+		if asStep {
+			env.SpawnStepAt(delay, "notify", func(*Proc) bool { post(); return false })
+		} else {
+			env.SpawnAt(delay, "notify", func(*Proc) { post() })
+		}
+	}
+	for k, d := range []Duration{2, 1, 2, 0, 7} {
+		notify(d*Microsecond, k)
+	}
+	const total = 8
+	env.Spawn("receiver", func(p *Proc) {
+		for got := 0; got < total; {
+			if len(mail) == 0 {
+				if box.WaitTimeout(p, 1500*Nanosecond) != nil {
+					note("timeout")
+				}
+				continue
+			}
+			for _, k := range mail {
+				note("recv %d", k)
+				got++
+				if k < 3 { // each early notice begets a later one
+					notify(Duration(k)*Microsecond, 10+k)
+				}
+			}
+			mail = mail[:0]
+		}
+	})
+	env.Spawn("ticker", func(p *Proc) {
+		for k := 0; k < 5; k++ {
+			p.Sleep(Microsecond)
+			note("tick %d", k)
+		}
+	})
+	end := env.Run()
+	note("end live=%d blocked=%v at %.9f", env.Live(), env.Blocked(), float64(end))
+	return log
+}
+
+// A notifier spawned with SpawnStepAt acts in exactly the (time, seq)
+// slots of the same notifier spawned with SpawnAt, ties with other
+// processes' wake-ups at the same instant included.
+func TestSpawnStepAtMatchesSpawnAt(t *testing.T) {
+	co, st := notifierScenario(false), notifierScenario(true)
+	if strings.Join(co, "\n") != strings.Join(st, "\n") {
+		t.Fatalf("SpawnStepAt diverges from SpawnAt:\nSpawnAt:\n%s\nSpawnStepAt:\n%s",
+			strings.Join(co, "\n"), strings.Join(st, "\n"))
+	}
+	if last := co[len(co)-1]; !strings.Contains(last, "live=0 blocked=[]") {
+		t.Fatalf("scenario did not drain: %s", last)
+	}
+}
+
+// Both delayed spawns reject a negative delay.
+func TestSpawnAtNegativeDelayPanics(t *testing.T) {
+	for name, spawn := range map[string]func(env *Env){
+		"SpawnAt":     func(env *Env) { env.SpawnAt(-Microsecond, "neg", func(*Proc) {}) },
+		"SpawnStepAt": func(env *Env) { env.SpawnStepAt(-Microsecond, "neg", func(*Proc) bool { return false }) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			env := NewEnv()
+			defer env.Close()
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				spawn(env)
+				return nil
+			}()
+			if msg, ok := got.(string); !ok || !strings.HasPrefix(msg, "sim: ") {
+				t.Fatalf("recovered %#v, want a sim: panic message", got)
+			}
+		})
+	}
+}

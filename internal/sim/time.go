@@ -1,12 +1,16 @@
 // Package sim implements a deterministic discrete-event simulation engine.
 //
-// The engine drives "processes" — ordinary Go functions running as
-// coroutines — through virtual time. At most one process executes at any
-// instant: the scheduler loop resumes a process, and the process switches
-// back when it blocks on a virtual-time primitive (Sleep, a Signal, a
-// Resource, ...). This SimPy-style handoff keeps simulations fully
-// deterministic regardless of GOMAXPROCS while letting model code read as
-// straight-line imperative Go.
+// The engine drives "processes" through virtual time. A process is either
+// an ordinary Go function running as a coroutine, which blocks on
+// virtual-time primitives (Sleep, a Signal, a Resource, ...), or a
+// stackless step body, a plain function called once per wake-up that arms
+// its next wake-up and returns. At most one process executes at any
+// instant: the scheduler loop resumes a coroutine or calls a step body,
+// and control comes back when the process parks. This SimPy-style handoff
+// keeps simulations fully deterministic regardless of GOMAXPROCS. Bodies
+// that block deep in library calls read as straight-line imperative Go;
+// bodies that never need a stack are step processes and cost no
+// coroutine switch.
 //
 // All other substrates in this repository (the GPU device model, the CUDA
 // API layer, the MPI runtime, the workload mini-apps) are built on this

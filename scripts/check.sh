@@ -40,28 +40,31 @@ go test -race -count=1 -run 'TestPool' ./internal/experiments/
 echo "== cdivet ./... (baseline: cdivet_baseline.json)"
 go run ./cmd/cdivet -sarif cdivet.sarif -baseline cdivet_baseline.json ./...
 
-echo "== reproduce -exp serving smoke (-j byte-identity + trace)"
-serving_trace="$(mktemp)"
-serving_j1="$(go run ./cmd/reproduce -exp serving -j 1)"
-serving_j8="$(go run ./cmd/reproduce -exp serving -j 8 -trace "$serving_trace")"
-if [ "$serving_j1" != "${serving_j8%$'\n'wrote serving trace*}" ]; then
-  echo "serving output differs between -j 1 and -j 8" >&2
-  exit 1
-fi
-[ -s "$serving_trace" ] || { echo "serving trace file is empty" >&2; exit 1; }
-rm -f "$serving_trace"
-
-echo "== reproduce -exp churn smoke (-j byte-identity)"
-churn_j1="$(go run ./cmd/reproduce -exp churn -j 1)"
-churn_j8="$(go run ./cmd/reproduce -exp churn -j 8)"
-if [ "$churn_j1" != "$churn_j8" ]; then
-  echo "churn output differs between -j 1 and -j 8" >&2
-  exit 1
-fi
+# The -j byte-identity smokes. Each run works in its own directory and
+# writes its trace to the same relative path, so stdout (which names the
+# trace file) and the Chrome trace itself must match byte for byte
+# between -j 1 and -j 8.
+smoke="$(mktemp -d)"
+trap 'rm -rf "$smoke"' EXIT
+go build -o "$smoke/reproduce" ./cmd/reproduce
+mkdir "$smoke/j1" "$smoke/j8"
+for exp in serving churn; do
+  echo "== reproduce -exp $exp smoke (-j 1 vs -j 8: stdout and trace byte-identity)"
+  for j in 1 8; do
+    (cd "$smoke/j$j" && ../reproduce -exp "$exp" -j "$j" -trace "$exp.json" > "$exp.out")
+  done
+  [ -s "$smoke/j1/$exp.json" ] || { echo "$exp trace file is empty" >&2; exit 1; }
+  for f in "$exp.out" "$exp.json"; do
+    if ! cmp "$smoke/j1/$f" "$smoke/j8/$f"; then
+      echo "$exp: $f differs between -j 1 and -j 8" >&2
+      exit 1
+    fi
+  done
+done
 
 echo "== reproduce -exp pool smoke (-j byte-identity)"
-pool_j1="$(go run ./cmd/reproduce -exp pool -j 1)"
-pool_j8="$(go run ./cmd/reproduce -exp pool -j 8)"
+pool_j1="$("$smoke/reproduce" -exp pool -j 1)"
+pool_j8="$("$smoke/reproduce" -exp pool -j 8)"
 if [ "$pool_j1" != "$pool_j8" ]; then
   echo "pool output differs between -j 1 and -j 8" >&2
   exit 1
