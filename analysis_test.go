@@ -3,20 +3,15 @@ package cdi
 // The repo-wide determinism lint gate: running the cdivet suite is part of
 // tier-1 testing, so `go test ./...` fails the moment any package breaks a
 // determinism invariant (wall-clock reads, global rand, bare goroutines,
-// order-dependent map iteration, exact float comparison, dropped errors),
-// introduces a hot-path allocation pattern the hotpath rule can see, or
-// breaks the signal wait graph. The same suite is
-// available interactively as `go run ./cmd/cdivet ./...`.
+// order-dependent map iteration, exact float comparison, dropped errors)
+// or breaks the signal wait graph. The same suite is available
+// interactively as `go run ./cmd/cdivet ./...`.
 //
 // The module is parsed and type-checked once per test binary; every zone of
 // the self-check below, and BenchmarkCdivetModule, runs over that one load.
 //
-// Accepted findings live in cdivet_baseline.json (hotpath reports on code
-// that allocates by design). The baseline is exact-match: a fixed finding
-// turns its entry stale and the `all` zone fails, so the file can only
-// shrink (`go run ./cmd/cdivet -prune-baseline cdivet_baseline.json ./...`)
-// or be deliberately re-cut with
-// `go run ./cmd/cdivet -write-baseline cdivet_baseline.json ./...`.
+// Every zone holds its packages to zero findings: an accepted exception
+// carries an inline, justified `//cdivet:allow <rule> <reason>` directive.
 
 import (
 	"io/fs"
@@ -28,8 +23,6 @@ import (
 
 	"repro/internal/analysis"
 )
-
-const baselineFile = "cdivet_baseline.json"
 
 var module struct {
 	once sync.Once
@@ -47,19 +40,6 @@ func loadModule(tb testing.TB) *analysis.Module {
 	return module.m
 }
 
-// hotCore is the measured core: the serving engine, the GPU and CUDA
-// models, the proxy-app and LAMMPS workloads, the pool scheduler, and the
-// simulation engine they all run on.
-var hotCore = []string{
-	"./internal/serve",
-	"./internal/gpu",
-	"./internal/cuda",
-	"./internal/proxy",
-	"./internal/lammps",
-	"./internal/sim",
-	"./internal/pool",
-}
-
 // procPackages is every package that spawns sim processes or hands
 // Signals between them, plus the engine itself.
 var procPackages = []string{
@@ -75,20 +55,14 @@ var procPackages = []string{
 }
 
 // zone is one scope of the self-check: a rule subset over a package set.
-// Only a baseline zone reads the baseline; the others hold their packages
-// to zero findings, so an accepted violation there must carry an inline
-// justified directive and cannot hide behind a frozen baseline entry.
 type zone struct {
 	name     string
 	rules    string // comma-separated rule subset; empty runs every rule
 	patterns []string
-	baseline bool
 }
 
 var zones = []zone{
-	{name: "all", patterns: []string{"./..."}, baseline: true},
-	// The allocation discipline of the measured core.
-	{name: "hot-core", rules: "hotpath", patterns: hotCore},
+	{name: "all", patterns: []string{"./..."}},
 	// An analysis suite that cannot gate its own source has no business
 	// gating the model's.
 	{name: "analysis", patterns: []string{"./internal/analysis"}},
@@ -111,16 +85,6 @@ func checkZone(t *testing.T, z zone) {
 	if err != nil {
 		t.Fatalf("cdivet suite failed to run: %v", err)
 	}
-	if z.baseline {
-		b, err := analysis.ReadBaseline(baselineFile)
-		if err != nil {
-			t.Fatalf("read %s: %v", baselineFile, err)
-		}
-		for _, e := range b.Stale(findings, m, cfg) {
-			t.Errorf("stale baseline entry (finding fixed? prune the baseline): %s %s %q", e.Rule, e.File, e.Message)
-		}
-		findings, _ = b.Filter(findings, m.Root)
-	}
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
@@ -129,14 +93,8 @@ func checkZone(t *testing.T, z zone) {
 	}
 }
 
-// TestDeterminismInvariants runs each zone over the shared load. Every
-// configured hot root must also name a function that exists, or the code it
-// anchored would silently leave the hot set.
+// TestDeterminismInvariants runs each zone over the shared load.
 func TestDeterminismInvariants(t *testing.T) {
-	m := loadModule(t)
-	for _, root := range analysis.UnresolvedHotRoots(m) {
-		t.Errorf("hot root %s names no function in the module; update hotRootConfig", root)
-	}
 	for _, z := range zones {
 		t.Run(z.name, func(t *testing.T) { checkZone(t, z) })
 	}
@@ -146,15 +104,6 @@ func TestDeterminismInvariants(t *testing.T) {
 // behind every wait.
 func TestWaitGraphSelfCheck(t *testing.T) {
 	checkZone(t, zone{rules: "waitgraph", patterns: procPackages})
-}
-
-// TestPoolSelfCheck holds the pool scheduler alone to the two analyzers
-// its design leans on: waitgraph (the mailbox wake signal is always
-// fireable) and hotpath (the placement path stays allocation-lean). The
-// checks above cover it too; this one exists so a pool-only regression
-// fails with the package's name on it.
-func TestPoolSelfCheck(t *testing.T) {
-	checkZone(t, zone{rules: "waitgraph,hotpath", patterns: []string{"./internal/pool"}})
 }
 
 // TestSeededBugs proves the waitgraph analyzer catches the failure class it

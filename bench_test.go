@@ -302,9 +302,17 @@ func BenchmarkSimEngineEvents(b *testing.B) {
 }
 
 func BenchmarkProxyIteration(b *testing.B) {
+	op := proxyIterationOp(b)
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// proxyIterationOp is one proxy-app run: the thread loop's steady state.
+func proxyIterationOp(tb testing.TB) func() {
+	return func() {
 		if _, err := proxy.Run(proxy.Config{MatrixSize: 1 << 9, Iters: 10}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -318,15 +326,32 @@ func BenchmarkLAMMPSNumericStep(b *testing.B) {
 }
 
 func BenchmarkLAMMPSPerfStep(b *testing.B) {
+	op := lammpsPerfStepOp(b)
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// lammpsPerfStepOp is one 8-rank LAMMPS performance run: rank steps, MPI
+// halos and GPU stream steps on one engine.
+func lammpsPerfStepOp(tb testing.TB) func() {
+	return func() {
 		if _, err := lammps.RunPerf(lammps.PerfConfig{BoxSize: 60, Procs: 8, Steps: 10}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkMPIAllreduce(b *testing.B) {
+	op := mpiAllreduceOp(b)
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// mpiAllreduceOp is one 8-rank allreduce on a fresh engine.
+func mpiAllreduceOp(testing.TB) func() {
+	return func() {
 		env := sim.NewEnv()
 		w := mpi.NewWorld(env, 8, mpi.IntraNode())
 		w.SpawnAll(func(r *mpi.Rank) {
@@ -418,19 +443,15 @@ func BenchmarkLAMMPSHybridStep(b *testing.B) {
 	}
 }
 
-// BenchmarkCdivetModule measures one full eleven-analyzer pass — per-file
-// rules plus the module-wide dataflow layer (call graph, taint fixpoint,
-// wait-point propagation, hot-path allocation analysis and the signal wait
-// graph) — over the already-loaded module. Parsing and
-// type-checking run outside the timed loop, on the load the self-check
-// shares, as cdivet itself amortizes them across analyzers; -benchmem makes
-// allocation regressions in the dataflow engine visible.
+// BenchmarkCdivetModule measures one full nine-analyzer pass — per-file
+// rules plus the module-wide dataflow layer (call graph, taint fixpoint
+// and the signal wait graph) — over the already-loaded module, which must
+// come out clean. Parsing and type-checking run outside the timed loop, on
+// the load the self-check shares, as cdivet itself amortizes them across
+// analyzers; -benchmem makes allocation regressions in the dataflow engine
+// visible.
 func BenchmarkCdivetModule(b *testing.B) {
 	m := loadModule(b)
-	baseline, err := analysis.ReadBaseline("cdivet_baseline.json")
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -438,7 +459,6 @@ func BenchmarkCdivetModule(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		findings, _ = baseline.Filter(findings, m.Root)
 		if len(findings) != 0 {
 			b.Fatalf("module not clean: %v", findings)
 		}
@@ -446,12 +466,20 @@ func BenchmarkCdivetModule(b *testing.B) {
 }
 
 func BenchmarkCosmoFlowPerfStep(b *testing.B) {
+	op := cosmoFlowPerfStepOp(b)
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// cosmoFlowPerfStepOp is one CosmoFlow performance-model epoch.
+func cosmoFlowPerfStepOp(tb testing.TB) func() {
+	return func() {
 		_, err := cosmoflow.RunPerf(cosmoflow.PerfConfig{
 			Epochs: 1, TrainSamples: 16, ValSamples: 8, InputSide: 32,
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 }
@@ -512,6 +540,16 @@ func BenchmarkRemotingFaultPath(b *testing.B) {
 // at iteration-level admission, and the paper's 100 µs row-scale slack on
 // every link-crossing call — the serving subsystem's hot path.
 func BenchmarkServeSteadyState(b *testing.B) {
+	op := serveSteadyStateOp(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// serveSteadyStateOp generates the request schedule once and returns one
+// serving window: arrivals, the continuous batcher and the GPU model.
+func serveSteadyStateOp(tb testing.TB) func() {
 	tenants := []serve.Tenant{
 		{Name: "chat", Rate: 100, MeanPromptTokens: 32, MeanOutputTokens: 8,
 			SLO: 25 * sim.Millisecond},
@@ -521,29 +559,28 @@ func BenchmarkServeSteadyState(b *testing.B) {
 	const window = 200 * sim.Millisecond
 	reqs, err := serve.Generate(tenants, window, 41)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		env := sim.NewEnv()
 		dev, err := gpu.NewDevice(env, gpu.A100())
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		ctx := cuda.NewContext(dev, cuda.Config{})
 		ctx.Interpose(slack.New(100 * sim.Microsecond))
 		eng, err := serve.Start(env, serve.NewLocal(ctx),
 			serve.Config{Policy: serve.Continuous, Tenants: tenants}, reqs)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		env.Run()
 		env.Close()
 		if err := eng.Err(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if eng.Completed() != len(reqs) {
-			b.Fatalf("completed %d of %d requests", eng.Completed(), len(reqs))
+			tb.Fatalf("completed %d of %d requests", eng.Completed(), len(reqs))
 		}
 	}
 }
@@ -571,6 +608,17 @@ func BenchmarkHealthDetector(b *testing.B) {
 // servers and the admission gate shedding while degraded. This is the
 // control plane's full-system hot path.
 func BenchmarkChurnSteadyState(b *testing.B) {
+	op := churnSteadyStateOp(b)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// churnSteadyStateOp builds the schedule and fabric path once and returns
+// one managed churn cell: serving over a resilient pool under crash
+// outages, with the health plane's heartbeats, drains and readmits.
+func churnSteadyStateOp(tb testing.TB) func() {
 	tenants := []serve.Tenant{
 		{Name: "chat", Rate: 100, MeanPromptTokens: 32, MeanOutputTokens: 8,
 			SLO: 25 * sim.Millisecond},
@@ -580,14 +628,13 @@ func BenchmarkChurnSteadyState(b *testing.B) {
 	const window = 200 * sim.Millisecond
 	reqs, err := serve.Generate(tenants, window, 41)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	path, err := fabric.PathForSlack(100 * sim.Microsecond)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		env := sim.NewEnv()
 		pool, err := remoting.NewResilient(env, gpu.A100(), remoting.ResilientConfig{
 			Config: remoting.Config{Path: path, Seed: 7003},
@@ -599,12 +646,12 @@ func BenchmarkChurnSteadyState(b *testing.B) {
 			DisableLocalFallback: true,
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		ctl, err := health.Start(env, pool, pool.Injector(),
 			health.Config{Seed: 7003, Horizon: 2 * window, Path: path})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		eng, err := serve.Start(env, serve.NewRemote(pool), serve.Config{
 			Policy:  serve.Continuous,
@@ -614,15 +661,15 @@ func BenchmarkChurnSteadyState(b *testing.B) {
 			},
 		}, reqs)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		env.Run()
 		env.Close()
 		if err := eng.Err(); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if ctl.Stats().Suspicions == 0 {
-			b.Fatal("churn path not exercised: no suspicions")
+			tb.Fatal("churn path not exercised: no suspicions")
 		}
 	}
 }
@@ -694,17 +741,25 @@ func benchPoolConfig(defrag bool) pool.Config {
 // churning window of gang arrivals, completions, and queue scans with the
 // defragmenter off.
 func BenchmarkPoolPlacement(b *testing.B) {
+	op := poolPlacementOp(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// poolPlacementOp is one churning pool window with the defragmenter off.
+func poolPlacementOp(tb testing.TB) func() {
+	return func() {
 		env := sim.NewEnv()
 		s, err := pool.Start(env, benchPoolConfig(false))
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		env.Run()
 		env.Close()
 		if st := s.Stats(); st.Placed == 0 {
-			b.Fatal("placement path not exercised")
+			tb.Fatal("placement path not exercised")
 		}
 	}
 }

@@ -9,7 +9,7 @@
 // no result-emitting path depends on Go map iteration order. Nothing in the
 // compiler enforces any of that — a single time.Now(), global rand.Intn, or
 // unsorted map range silently corrupts every regenerated artifact. The
-// eleven analyzers in this package turn those conventions into
+// nine analyzers in this package turn those conventions into
 // build-breaking checks:
 //
 //	walltime    wall-clock time in simulated code
@@ -20,20 +20,16 @@
 //	errdrop     silently discarded error returns in internal, cmd, examples
 //	taint       nondeterministic value reaching a result-emitting sink
 //	simunits    unitless literals / float64 round-trips in sim.Duration math
-//	waitlock    sync.Mutex held across a simulated wait point
-//	hotpath     per-iteration allocation patterns in benchmark-reachable code
 //	waitgraph   sim.Signal deadlock / lost-wake / unbound-use patterns
 //
 // The first six are per-file syntactic/type checks. The rest run on a
-// module-wide dataflow layer (dataflow.go, callgraph.go, hotness.go): taint
+// module-wide dataflow layer (dataflow.go, callgraph.go): taint
 // propagates nondeterminism through assignments, returns, and cross-package
 // calls and reports only at sinks, so the sorted-keys idiom stays silent
 // while a map-order value laundered through a helper in another package is
-// still caught; hotpath works over the set of functions reachable from the
-// benchmark call graph and the configured steady-state roots; and
-// waitgraph reasons over the process context (procctx.go) — which code
-// each spawned proc reaches, and how sim.Signal wait/fire edges order the
-// procs.
+// still caught; and waitgraph reasons over the process context
+// (procctx.go) — which code each spawned proc reaches, and how sim.Signal
+// wait/fire edges order the procs.
 //
 // Intentional exceptions are suppressed in source with a justified
 // directive on, or immediately above, the offending line:
@@ -165,8 +161,6 @@ func All() []*Analyzer {
 		ErrDrop,
 		Taint,
 		SimUnits,
-		WaitLock,
-		Hotpath,
 		WaitGraph,
 	}
 }

@@ -247,3 +247,27 @@ func (pc *procContext) linkEdges(r *procRegion, spawnArg map[*ast.FuncLit]bool) 
 		return true
 	})
 }
+
+// recvTypeName extracts the bare receiver type name from a receiver type,
+// unwrapping pointers.
+func recvTypeName(t types.Type) string {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	if n, ok := t.(*types.Named); ok {
+		return n.Obj().Name()
+	}
+	return ""
+}
+
+// describeFunc renders a node as pkg.Func or pkg.(Recv).Func for messages.
+func describeFunc(n *funcNode) string {
+	short := n.pkg.Path
+	if i := strings.LastIndexByte(short, '/'); i >= 0 {
+		short = short[i+1:]
+	}
+	if sig, ok := n.obj.Type().(*types.Signature); ok && sig.Recv() != nil {
+		return short + ".(" + recvTypeName(sig.Recv().Type()) + ")." + n.obj.Name()
+	}
+	return short + "." + n.obj.Name()
+}

@@ -211,6 +211,17 @@ func TestCompareArchitecturesOversubscription(t *testing.T) {
 	}
 }
 
+// An unknown scale is an error from CompareArchitectures, not a panic in
+// fabric.Preset.
+func TestCompareArchitecturesRejectsUnknownScale(t *testing.T) {
+	jobs := []Request{{Name: "a", Cores: 4, GPUs: 1}}
+	for _, scale := range []fabric.Scale{fabric.Scale(-1), fabric.ClusterScale + 1} {
+		if _, err := CompareArchitectures(jobs, 8, 12, 1, 8, scale); err == nil {
+			t.Errorf("CompareArchitectures accepted %v", scale)
+		}
+	}
+}
+
 // Property: any sequence of allocations and releases conserves resources —
 // free counts never go negative or exceed totals, and releasing everything
 // restores the empty machine.

@@ -44,7 +44,11 @@ func CompareArchitectures(jobs []Request, nodes, coresPerNode, gpusPerNode, gpus
 		gpusPerChassis = totalGPUs
 	}
 	chassis := ceilDiv(totalGPUs, gpusPerChassis)
-	cdi, err := NewCDI(nodes, coresPerNode, chassis, gpusPerChassis, fabric.Preset(scale, 0))
+	path, err := fabric.NewPreset(scale, 0)
+	if err != nil {
+		return Comparison{}, err
+	}
+	cdi, err := NewCDI(nodes, coresPerNode, chassis, gpusPerChassis, path)
 	if err != nil {
 		return Comparison{}, err
 	}

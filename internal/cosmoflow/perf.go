@@ -3,6 +3,7 @@ package cosmoflow
 import (
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/cuda"
 	"repro/internal/faults"
@@ -271,7 +272,7 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 		space := sim.NewSignal(p.Env())
 		queued := 0
 		totalBatches := cfg.Epochs * (steps + valSteps)
-		p.Env().Spawn(fmt.Sprintf("loader%d", r.Rank()), func(lp *sim.Proc) {
+		p.Env().Spawn("loader"+strconv.Itoa(r.Rank()), func(lp *sim.Proc) {
 			for b := 0; b < totalBatches; b++ {
 				lp.Sleep(loadTime)
 				for queued >= depth {

@@ -138,7 +138,6 @@ func launchName(m map[string]string, prefix, kernel string) string {
 	if s, ok := m[kernel]; ok {
 		return s
 	}
-	//cdivet:allow hotpath cache miss: the concatenation runs once per distinct kernel name
 	s := prefix + kernel
 	m[kernel] = s
 	return s

@@ -155,7 +155,6 @@ func (s Scale) String() string {
 	case ClusterScale:
 		return "cluster-scale"
 	default:
-		//cdivet:allow hotpath defensive fallback, unreachable for valid scales
 		return fmt.Sprintf("Scale(%d)", int(s))
 	}
 }
@@ -216,6 +215,19 @@ func Preset(s Scale, km float64) Path {
 	default:
 		panic(fmt.Sprintf("fabric: unknown scale %v", s))
 	}
+}
+
+// NewPreset is Preset for a scale and fibre distance taken from
+// configuration: an unknown scale, or a negative, NaN or infinite km, is an
+// error rather than a panic or a NaN hop latency.
+func NewPreset(s Scale, km float64) (Path, error) {
+	if s < NodeLocal || s > ClusterScale {
+		return Path{}, fmt.Errorf("fabric: unknown scale %v", s)
+	}
+	if !(km >= 0) || math.IsInf(km, 1) {
+		return Path{}, fmt.Errorf("fabric: fibre distance %g km is not finite and non-negative", km)
+	}
+	return Preset(s, km), nil
 }
 
 // SlackForPath returns the per-CUDA-call slack a path induces: the one-way

@@ -281,7 +281,6 @@ func (d *Device) NewStream() *Stream {
 	}
 	d.nextStreamID++
 	d.streams = append(d.streams, s)
-	//cdivet:allow hotpath the runner name is built once per stream creation
 	d.env.SpawnStep(d.spec.Name+"/stream"+strconv.Itoa(s.id), s.step)
 	return s
 }

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/sim"
 )
@@ -127,7 +128,7 @@ func Conv3D(batch, cin, cout, k, out int) Kernel {
 	voxels := float64(out) * float64(out) * float64(out)
 	flops := 2 * float64(batch) * voxels * float64(cin) * float64(cout) * float64(k*k*k)
 	return Kernel{
-		Name:       fmt.Sprintf("conv3d_%dx%d", cin, cout),
+		Name:       "conv3d_" + strconv.Itoa(cin) + "x" + strconv.Itoa(cout),
 		FLOPs:      flops,
 		Efficiency: 0.35,
 		MemBytes:   float64(batch) * voxels * float64(cin+cout) * 4,
@@ -140,7 +141,7 @@ func Dense(batch, in, out int) Kernel {
 		panic("gpu: invalid Dense parameters")
 	}
 	return Kernel{
-		Name:       fmt.Sprintf("dense_%dx%d", in, out),
+		Name:       "dense_" + strconv.Itoa(in) + "x" + strconv.Itoa(out),
 		FLOPs:      2 * float64(batch) * float64(in) * float64(out),
 		Efficiency: 0.25,
 		MemBytes:   float64(in)*float64(out)*4 + float64(batch)*float64(in+out)*4,

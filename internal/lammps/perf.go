@@ -137,6 +137,14 @@ type PerfResult struct {
 // stepping its sub-domain, offloading the force kernel to the shared GPU
 // and exchanging halos with its neighbors.
 func RunPerf(cfg PerfConfig) (PerfResult, error) {
+	env := sim.NewEnv()
+	defer env.Close()
+	return runPerf(env, cfg)
+}
+
+// runPerf is RunPerf on a caller-supplied engine, so tests can read the
+// engine's work counters after the run.
+func runPerf(env *sim.Env, cfg PerfConfig) (PerfResult, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return PerfResult{}, err
@@ -147,8 +155,6 @@ func RunPerf(cfg PerfConfig) (PerfResult, error) {
 		return PerfResult{}, fmt.Errorf("lammps: %d ranks for %d atoms", cfg.Procs, atoms)
 	}
 
-	env := sim.NewEnv()
-	defer env.Close()
 	dev, err := gpu.NewDevice(env, cfg.Spec)
 	if err != nil {
 		return PerfResult{}, err

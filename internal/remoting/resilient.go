@@ -3,6 +3,7 @@ package remoting
 import (
 	"fmt"
 	"math/rand/v2"
+	"strconv"
 
 	"repro/internal/cuda"
 	"repro/internal/faults"
@@ -318,7 +319,7 @@ func (r *Resilient) attempt(p *sim.Proc, ep *endpoint, reqID uint64, cs callSpec
 	var res execResult
 	if !lost {
 		reqTransfer := r.transfer(cs.reqBytes, r.inj.BandwidthFactor(now))
-		r.env.Spawn(fmt.Sprintf("rsrv-%s-%d", cs.name, reqID), func(sp *sim.Proc) {
+		r.env.Spawn("rsrv-"+cs.name+"-"+strconv.FormatUint(reqID, 10), func(sp *sim.Proc) {
 			sp.Sleep(reqTransfer)
 			if ep.srv != nil {
 				switch state, until := ep.srv.StateAt(sp.Now()); state {

@@ -347,7 +347,6 @@ func (e *Engine) finish(p *sim.Proc, r *pending) error {
 	e.completed++
 	if e.cfg.RecordSpans {
 		e.spans = append(e.spans, trace.AppSpan{
-			//cdivet:allow hotpath spans are opt-in (RecordSpans) and inherently allocate; off on measured paths
 			Name:  "req " + strconv.Itoa(r.req.ID) + " (" + e.cfg.Tenants[r.req.Tenant].Name + ")",
 			Cat:   "request",
 			Track: r.req.Tenant,
@@ -372,7 +371,6 @@ func (e *Engine) admit(p *sim.Proc, r *pending) (gpu.Kernel, error) {
 func (e *Engine) batchSpan(kind string, n int, start, end sim.Time) {
 	if e.cfg.RecordSpans {
 		e.spans = append(e.spans, trace.AppSpan{
-			//cdivet:allow hotpath spans are opt-in (RecordSpans) and inherently allocate; off on measured paths
 			Name:  kind + " n=" + strconv.Itoa(n),
 			Cat:   "batch",
 			Track: batchTrack,

@@ -61,18 +61,17 @@ func Place(tenants []Tenant, tiers []Tier) ([]Replica, error) {
 		total += tier.GPUs
 	}
 	replicas := make([]Replica, 0, total)
-	for _, tier := range tiers {
-		path := fabric.Preset(tier.Scale, tier.Km)
+	for ti, tier := range tiers {
+		path, err := fabric.NewPreset(tier.Scale, tier.Km)
+		if err != nil {
+			return nil, fmt.Errorf("serve: tier %d: %w", ti, err)
+		}
 		sys, err := compose.NewCDI(tier.GPUs, 8, 1, tier.GPUs, path)
 		if err != nil {
 			return nil, err
 		}
-		//cdivet:allow hotpath built once per tier, not per replica
 		prefix := "serve-" + tier.Scale.String() + "-"
 		for g := 0; g < tier.GPUs; g++ {
-			// Each replica owns a distinct name; the allocation is the
-			// result itself, not transient scratch.
-			//cdivet:allow hotpath the string is the replica's stored identity
 			name := prefix + strconv.Itoa(g)
 			a, err := sys.Alloc(compose.Request{Name: name, Cores: 1, GPUs: 1})
 			if err != nil {

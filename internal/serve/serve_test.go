@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/cuda"
@@ -260,6 +261,24 @@ func TestPlaceSlackAware(t *testing.T) {
 	for _, r := range replicas[1:] {
 		if r.Slack != rowSlack {
 			t.Errorf("row replica slack %v, want %v", r.Slack, rowSlack)
+		}
+	}
+}
+
+// A tier's scale and fibre distance come from configuration, so an unknown
+// scale or a negative, NaN or infinite km is an error from Place, not a
+// panic in fabric.Preset or a NaN replica slack.
+func TestPlaceRejectsBadTier(t *testing.T) {
+	for _, tier := range []Tier{
+		{Scale: fabric.Scale(7), GPUs: 1},
+		{Scale: fabric.Scale(-1), GPUs: 1},
+		{Scale: fabric.RowScale, Km: -1, GPUs: 1},
+		{Scale: fabric.RowScale, Km: math.NaN(), GPUs: 1},
+		{Scale: fabric.ClusterScale, Km: math.Inf(1), GPUs: 1},
+	} {
+		tiers := []Tier{{Scale: fabric.NodeLocal, GPUs: 1}, tier}
+		if _, err := Place(testTenants(), tiers); err == nil {
+			t.Errorf("Place accepted tier %+v", tier)
 		}
 	}
 }

@@ -10,35 +10,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
-echo "== go test -race ./..."
-go test -race ./...
+# One uncached, race-enabled pass over every package. Uncached because the
+# fault-schedule, health/churn and pool suites guard byte-determinism and
+# must run fresh even when nothing they import changed.
+echo "== go test -race -count=1 ./..."
+go test -race -count=1 ./...
 
-# Dedicated uncached pass over the fault-injection / resilient-transport /
-# resilience-experiment tests: these are the suites guarding the
-# byte-determinism of the fault schedule, so they must run fresh even when
-# the package-wide run above was cached.
-echo "== go test -race -count=1 (resilience)"
-go test -race -count=1 -run 'Resilien|Fault|WaitTimeout' \
-  ./internal/faults/ ./internal/remoting/ ./internal/sim/ ./internal/experiments/
-
-# The pool control plane and the churn sweep guard the other half of that
-# determinism story: zero-churn cells must reproduce the serving sweep
-# byte for byte and a fault-free control plane must be invisible. Uncached
-# and race-enabled for the same reason as above.
-echo "== go test -race -count=1 (health control plane + churn)"
-go test -race -count=1 ./internal/health/
-go test -race -count=1 -run 'TestChurn' ./internal/experiments/
-
-# The pool scheduler's acceptance gates, uncached and race-enabled: the
-# zero-churn defrag arm must be a byte-level no-op, the defrag arm must
-# strictly reduce stranded capacity without regressing goodput, and the
-# whole sweep must render byte-identically at every worker count.
-echo "== go test -race -count=1 (pool scheduler + sweep)"
-go test -race -count=1 ./internal/pool/
-go test -race -count=1 -run 'TestPool' ./internal/experiments/
-
-echo "== cdivet ./... (baseline: cdivet_baseline.json)"
-go run ./cmd/cdivet -sarif cdivet.sarif -baseline cdivet_baseline.json ./...
+echo "== cdivet ./..."
+go run ./cmd/cdivet -sarif cdivet.sarif ./...
 
 # The -j byte-identity smokes. Each run works in its own directory and
 # writes its trace to the same relative path, so stdout (which names the
